@@ -35,7 +35,7 @@ logged — at larger m the per-member chunk of these payloads is tiny and
 the cost model prices ring out of contention anyway.
 
 Results land in the ``collectives`` section of ``BENCH_wallclock.json``
-(or ``--out``); the CI ``collective-smoke`` job runs ``--quick``.
+(or ``--out``); the CI ``collective-smoke`` job runs the full sweep.
 """
 
 from __future__ import annotations

@@ -34,6 +34,12 @@ def _flat(values) -> np.ndarray:
     return arr.reshape(-1)
 
 
+def _members(members) -> tuple:
+    """The caller's member tuple as is (the comm registry normalises
+    its entries on a miss); other iterables become tuples."""
+    return members if type(members) is tuple else tuple(members)
+
+
 def _check_root(m: int, root_rank: int) -> None:
     if not 0 <= root_rank < m:
         raise ValueError(f"root rank {root_rank} out of range [0, {m})")
@@ -58,7 +64,7 @@ def team_reduce_step(
     ``cont(result)`` receives the reduction on the root (and on every
     member when ``broadcast``; otherwise non-root results are
     unspecified partial values)."""
-    members = tuple(int(p) for p in members)
+    members = _members(members)
     m = len(members)
     _check_root(m, root_rank)
     data = _flat(values)
@@ -114,7 +120,7 @@ def team_broadcast_step(
     """Broadcast the root's ``values`` over the team; every member's
     ``cont(result)`` receives the root's payload.  Non-root members pass
     a same-shape/dtype ``values`` (contents ignored)."""
-    members = tuple(int(p) for p in members)
+    members = _members(members)
     m = len(members)
     _check_root(m, root_rank)
     data = _flat(values)
@@ -161,7 +167,7 @@ def team_allgather_step(
     """Concatenate every member's equal-size ``values`` in team rank
     order; ``cont(result)`` receives the full ``m * n`` array on every
     member."""
-    members = tuple(int(p) for p in members)
+    members = _members(members)
     m = len(members)
     data = _flat(values)
     n = data.size

@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import threading
 import typing
-import weakref
 
 import numpy as np
 
@@ -58,10 +57,8 @@ MIN_SCRATCH_BYTES = 64
 
 _ids = itertools.count(1)
 
-# Shared TeamComm instances, one registry per layer (the comm caches the
-# pe->rank map and node grouping once for all members — satellite of
-# ISSUE 8: no linear member scans on the per-call path).
-_registry: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+# Guards creation of the per-layer TeamComm registries (lookups of an
+# existing comm take no lock).
 _registry_lock = threading.Lock()
 
 
@@ -337,17 +334,28 @@ class TeamComm:
 
 def get_team_comm(layer: "OneSidedLayer", members) -> TeamComm:
     """The shared :class:`TeamComm` for an ordered member tuple
-    (created lazily; metadata only — joining is collective)."""
+    (created lazily; metadata only — joining is collective).
+
+    The registry lives on the layer (one comm per team caches the
+    pe->rank map and node grouping for all members), so it dies with
+    the job.  The caller's tuple is tried as the key first; it is
+    normalised to plain ints only on a miss."""
+    comms = getattr(layer, "_team_comms", None)
+    if comms is not None:
+        try:
+            comm = comms.get(members)
+        except TypeError:  # unhashable caller sequence
+            comm = None
+        if comm is not None:
+            return comm
     key = tuple(int(p) for p in members)
     with _registry_lock:
-        comms = _registry.get(layer)
+        comms = getattr(layer, "_team_comms", None)
         if comms is None:
-            comms = {}
-            _registry[layer] = comms
+            comms = layer._team_comms = {}
         comm = comms.get(key)
         if comm is None:
-            comm = TeamComm(layer, key)
-            comms[key] = comm
+            comm = comms[key] = TeamComm(layer, key)
         return comm
 
 

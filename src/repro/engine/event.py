@@ -20,8 +20,14 @@ Blocking semantics:
 * **barrier** — arrivers park in a per-(barrier, generation) list; the
   releasing arrival departs itself, then departs and reschedules every
   parked PE at the common release time (ties broken by PE rank).
-* **value wait** — parked waiters are re-polled after every dispatched
-  event (only dispatched events can change memory).
+* **value wait** — parked waiters are indexed by the memory they wait
+  on, and a memory with waiters carries a write hook that marks it
+  dirty; after each dispatched event only the waiters on dirty
+  memories are re-checked, so a waiter wakes right after the event
+  whose write satisfied it and merges that write's timestamp.  A
+  survivable crash and a drained heap (just before
+  :class:`EventDeadlock`) re-poll every waiter once, which also catches
+  stores that notify nobody (``shmem_ptr`` views).
 * **failure** — a raising PE is recorded and the job aborts; already
   parked PEs whose barrier never releases are dropped exactly as a
   blocked thread observing the abort flag would be, and the engine
@@ -160,27 +166,50 @@ class EventEngine(Engine):
             pe: (lambda _pe=pe: fn(*args, **kwargs)) for pe in range(n)
         }
         parked: dict[tuple[int, int], list[_Parked]] = {}
-        waiters: list[_Waiter] = []
+        # Value waiters by awaited memory; a memory carries the write
+        # hook (marking it dirty) exactly while it has waiters.
+        waiting: dict[object, list[_Waiter]] = {}
+        dirty: set = set()
+        mark_dirty = dirty.add
 
         def schedule(pe: int, thunk, t: float) -> None:
             pending[pe] = thunk
             heapq.heappush(heap, (t, pe))
 
-        def check_waiters() -> None:
-            if not waiters:
-                return
-            still: list[_Waiter] = []
-            for w in waiters:
-                if w.predicate():
-                    # Same merge a woken thread performs in wait_until.
-                    if w.word_offset is None:
-                        w.ctx.clock.merge(w.mem.last_write_time)
+        def keep(mem, still: list[_Waiter]) -> None:
+            if still:
+                waiting[mem] = still
+            else:
+                del waiting[mem]
+                mem._write_hook = None
+
+        def wake(mems) -> None:
+            """Re-check the waiters on ``mems``; schedule the satisfied
+            ones (wake order is free: the heap pops by (time, pe))."""
+            for mem in mems:
+                ws = waiting.get(mem)
+                if ws is None:
+                    continue
+                still: list[_Waiter] = []
+                for w in ws:
+                    if w.predicate():
+                        # Same merge a woken thread performs in wait_until.
+                        if w.word_offset is None:
+                            w.ctx.clock.merge(mem.last_write_time)
+                        else:
+                            w.ctx.clock.merge(mem.word_time(w.word_offset))
+                        schedule(w.pe, w.cont, w.ctx.clock.now)
                     else:
-                        w.ctx.clock.merge(w.mem.word_time(w.word_offset))
-                    schedule(w.pe, w.cont, w.ctx.clock.now)
-                else:
-                    still.append(w)
-            waiters[:] = still
+                        still.append(w)
+                keep(mem, still)
+            dirty.clear()
+
+        def drained() -> bool:
+            """The heap drained with waiters parked: re-poll them all
+            once, catching waits satisfied by stores that notify nobody
+            (``shmem_ptr`` views).  True when that woke anyone."""
+            wake(list(waiting))
+            return bool(heap)
 
         def dispatch(pe: int, ctx, step) -> None:
             """Route one step result; non-steps are final values."""
@@ -232,11 +261,17 @@ class EventEngine(Engine):
                         raise_image_failed(
                             ctx, "wait", step.target, job.failed, job.tracer
                         )
-                    waiters.append(_Waiter(
+                    w = _Waiter(
                         pe, ctx, mem, predicate, step.cont,
                         elem_offset if step.word else None,
                         step.target,
-                    ))
+                    )
+                    ws = waiting.get(mem)
+                    if ws is None:
+                        waiting[mem] = [w]
+                        mem._write_hook = mark_dirty
+                    else:
+                        ws.append(w)
                     return
                 if cls is DelayStep:
                     ctx.clock.advance(step.delay_us)
@@ -245,7 +280,7 @@ class EventEngine(Engine):
                 raise TypeError(f"unknown step type {cls.__name__}")
 
         try:
-            while heap:
+            while heap or (waiting and drained()):
                 _, pe = heapq.heappop(heap)
                 thunk = pending.pop(pe)
                 ctx = ctxs[pe]
@@ -273,27 +308,35 @@ class EventEngine(Engine):
                                 )
                                 schedule(p.pe, p.cont, p.ctx.clock.now)
                         set_current(ctx)
-                        still: list[_Waiter] = []
-                        for w in waiters:
-                            if w.target == pe:
-                                schedule(
-                                    w.pe,
-                                    _make_wait_failure(w, pe, job),
-                                    w.ctx.clock.now,
-                                )
-                            else:
-                                still.append(w)
-                        waiters[:] = still
-                        check_waiters()
+                        for mem, ws in list(waiting.items()):
+                            still: list[_Waiter] = []
+                            for w in ws:
+                                if w.target == pe:
+                                    schedule(
+                                        w.pe,
+                                        _make_wait_failure(w, pe, job),
+                                        w.ctx.clock.now,
+                                    )
+                                else:
+                                    still.append(w)
+                            keep(mem, still)
+                        # Crash recovery (lock handoff, forced releases)
+                        # can satisfy any wait: re-poll every waiter.
+                        wake(list(waiting))
                         continue
                     failures.append((pe, exc))
                     job.abort()
                     continue
-                check_waiters()
+                if dirty:
+                    wake(dirty)
         finally:
             set_current(None)
+            for mem in waiting:
+                mem._write_hook = None
 
-        stuck = [p for plist in parked.values() for p in plist] + list(waiters)
+        stuck = [p for plist in parked.values() for p in plist] + [
+            w for ws in waiting.values() for w in ws
+        ]
         if stuck and not job.aborted():
             pes = sorted(p.pe for p in stuck)
             raise EventDeadlock(

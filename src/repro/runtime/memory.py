@@ -40,6 +40,9 @@ class PEMemory:
         # Wall-order sequence number of atomic updates per word; the
         # sanitizer chains same-word atomics into happens-before edges.
         self._word_seq: dict[int, int] = {}
+        # Called with this memory after every notifying write while set;
+        # the event engine sets it exactly while the memory has waiters.
+        self._write_hook: Callable[["PEMemory"], None] | None = None
 
     # ------------------------------------------------------------------
     # Backing hooks.  The defaults keep everything process-local; the
@@ -55,9 +58,12 @@ class PEMemory:
         return threading.Condition()
 
     def _note_write(self, timestamp: float) -> None:
-        """Publish a write's virtual completion timestamp."""
+        """Publish a write's virtual completion timestamp (every
+        notifying write path passes through here)."""
         if timestamp > self._last_write_time:
             self._last_write_time = timestamp
+        if self._write_hook is not None:
+            self._write_hook(self)
 
     def _read_write_time(self) -> float:
         return self._last_write_time

@@ -111,7 +111,10 @@ class ShmemLayer(OneSidedLayer):
 
         Stores through the view do not wake ``wait_until`` sleepers —
         the same caveat as real hardware, where a CPU store bypasses the
-        NIC; use :meth:`put`/atomics when the target waits.
+        NIC; use :meth:`put`/atomics when the target waits.  On the
+        event engine a parked waiter sees such a store at its next
+        notifying write to the same memory, or else once the event heap
+        drains (the re-poll before ``EventDeadlock``).
         """
         array._check_live()
         ctx = current()

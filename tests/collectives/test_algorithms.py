@@ -5,7 +5,9 @@ overrides (parameter and ``REPRO_COLLECTIVE``), selector fallbacks,
 zero-size short-circuits, and sanitizer cleanliness per algorithm.
 """
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -254,3 +256,42 @@ def test_zero_size_and_singleton_short_circuit():
         return current().clock.now == t0
 
     assert all(job.run(body))
+
+
+# ----------------------------------------------------------------------
+# Comm registry: lookup keys and lifetime
+# ----------------------------------------------------------------------
+def test_comm_lookup_normalises_member_keys():
+    job = Job(4, "stampede", heap_bytes=1 << 15, engine="threaded")
+    layer = shmem_attach(job)
+
+    def body():
+        comm = get_team_comm(layer, (0, 1, 2, 3))
+        return (
+            get_team_comm(layer, tuple(np.arange(4))) is comm,
+            get_team_comm(layer, [0, 1, 2, 3]) is comm,
+            comm.members == (0, 1, 2, 3),
+            all(type(p) is int for p in comm.members),
+        )
+
+    assert job.run(body) == [(True, True, True, True)] * 4
+
+
+def _reduce_once_on_event_engine() -> weakref.ref:
+    job = Job(4, "stampede", heap_bytes=1 << 15, engine="event")
+    layer = shmem_attach(job)
+
+    def body():
+        return team_reduce_step(layer, (0, 1, 2, 3), np.ones(2), np.add, Done)
+
+    for res in job.run(body):
+        assert np.array_equal(res, [4.0, 4.0])
+    return weakref.ref(job)
+
+
+def test_job_freed_after_collective():
+    """The team comms live on the layer, so a finished job that ran a
+    collective is garbage once its last outside reference goes."""
+    ref = _reduce_once_on_event_engine()
+    gc.collect()
+    assert ref() is None
