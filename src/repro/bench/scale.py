@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -396,6 +397,7 @@ def main(argv=None) -> int:
     section: dict = {
         "generated_by": "python -m repro.bench.scale",
         "engine": "event",
+        "host_cores": os.cpu_count(),
     }
     if not ns.no_gate:
         gate = equivalence_gate(min(GATE_PES, min(pes_list)), iters=ns.iters)

@@ -56,10 +56,11 @@ def batching_enabled() -> bool:
 
 def vector_enabled() -> bool:
     """The vectorized data plane (index-array scatter/gather, memoized
-    pricers, lazy trace footprints) is on unless ``REPRO_NO_VECTOR`` is
-    set.  ``REPRO_NO_VECTOR=1`` falls back to the plain batched engine —
-    same virtual times, stats, and bytes; only more Python work — which
-    isolates this fast path for debugging and benchmarking.
+    plan pricers, lazy trace footprints) is on unless ``REPRO_NO_VECTOR``
+    is set.  ``REPRO_NO_VECTOR=1`` falls back to the plain batched
+    engine — same virtual times, stats, and bytes; only more Python work
+    — which isolates this fast path for debugging and benchmarking.
+    Scalar RMA and atomics price the same way under either setting.
 
     Both flags are read once per job at layer construction.
     """
@@ -190,16 +191,17 @@ class OneSidedLayer:
         # the invariance tests toggle them between launches, never
         # mid-job): REPRO_NO_BATCH=1 forces the per-call oracle path,
         # REPRO_NO_VECTOR=1 keeps batching but disables the vectorized
-        # data plane (memoized pricers, cached index arrays, lazy trace
-        # footprints).
+        # data plane (memoized plan pricers, cached index arrays, lazy
+        # trace footprints).
         self.batching = batching_enabled()
         self.vectorized = self.batching and vector_enabled()
-        # Flat front-side memo over the network's pricers, keyed by
-        # small int tuples (op tag, src PE, dst PE, sizes).  The
-        # network's own memo keys include the conduit profile, whose
-        # frozen-dataclass hash walks every field — too expensive to
-        # pay per scalar operation.  Plain dict: get/set are GIL-atomic
-        # and a lost race merely builds an equivalent closure twice.
+        # Whole-plan batch pricers (:meth:`_plan_pricer`), keyed by small
+        # int tuples (src PE, dst PE, plan shape): section loops reuse
+        # them.  Scalar put/get/iput/iget/atomic price through the
+        # direct NetworkModel methods instead — a per-PE-pair memo
+        # mostly misses at scale and saves nothing when it hits.  Plain
+        # dict: get/set are GIL-atomic and a lost race merely builds an
+        # equivalent closure twice.
         self._pricers: dict[tuple, object] = {}
         # Max outstanding remote-completion time of each PE's puts.
         self._pending = [0.0] * job.num_pes
@@ -331,14 +333,6 @@ class OneSidedLayer:
                 return self.job.network.put_uncontended(
                     ctx.pe, pe, _n, self.profile, now
                 )
-        elif self.vectorized:
-            key = ("p", ctx.pe, pe, data.nbytes)
-            price = self._pricers.get(key)
-            if price is None:
-                if len(self._pricers) > 65536:  # unbounded-growth backstop
-                    self._pricers.clear()
-                price = self.job.network.put_pricer(ctx.pe, pe, data.nbytes, self.profile)
-                self._pricers[key] = price
         else:
             def price(now, _n=data.nbytes):
                 return self.job.network.put(ctx.pe, pe, _n, self.profile, now)
@@ -390,14 +384,6 @@ class OneSidedLayer:
                 return self.job.network.get_uncontended(
                     ctx.pe, pe, _n, self.profile, now
                 )
-        elif self.vectorized:
-            key = ("g", ctx.pe, pe, nbytes)
-            price = self._pricers.get(key)
-            if price is None:
-                if len(self._pricers) > 65536:
-                    self._pricers.clear()
-                price = self.job.network.get_pricer(ctx.pe, pe, nbytes, self.profile)
-                self._pricers[key] = price
         else:
             def price(now, _n=nbytes):
                 return self.job.network.get(ctx.pe, pe, _n, self.profile, now)
@@ -457,23 +443,11 @@ class OneSidedLayer:
         t_start = ctx.clock.now
         itemsize = dest.itemsize
         if self.profile.iput_native:
-            if self.vectorized:
-                key = ("ip", ctx.pe, pe, nelems, itemsize, tst)
-                price = self._pricers.get(key)
-                if price is None:
-                    if len(self._pricers) > 65536:
-                        self._pricers.clear()
-                    price = self.job.network.iput_pricer(
-                        ctx.pe, pe, nelems, itemsize, self.profile,
-                        stride_bytes=tst * itemsize,
-                    )
-                    self._pricers[key] = price
-            else:
-                def price(now, _nelems=nelems, _stride=tst * itemsize):
-                    return self.job.network.iput(
-                        ctx.pe, pe, _nelems, itemsize, self.profile, now,
-                        stride_bytes=_stride,
-                    )
+            def price(now, _nelems=nelems, _stride=tst * itemsize):
+                return self.job.network.iput(
+                    ctx.pe, pe, _nelems, itemsize, self.profile, now,
+                    stride_bytes=_stride,
+                )
             timing = self._priced(ctx, self, "iput", pe, price, _FAIL_AT_REMOTE)
             if self._eager:
                 self.job.memories[pe].write_strided(
@@ -536,23 +510,11 @@ class OneSidedLayer:
         t_start = ctx.clock.now
         itemsize = src.itemsize
         if self.profile.iput_native:
-            if self.vectorized:
-                key = ("ig", ctx.pe, pe, nelems, itemsize, sst)
-                price = self._pricers.get(key)
-                if price is None:
-                    if len(self._pricers) > 65536:
-                        self._pricers.clear()
-                    price = self.job.network.iget_pricer(
-                        ctx.pe, pe, nelems, itemsize, self.profile,
-                        stride_bytes=sst * itemsize,
-                    )
-                    self._pricers[key] = price
-            else:
-                def price(now, _nelems=nelems, _stride=sst * itemsize):
-                    return self.job.network.iget(
-                        ctx.pe, pe, _nelems, itemsize, self.profile, now,
-                        stride_bytes=_stride,
-                    )
+            def price(now, _nelems=nelems, _stride=sst * itemsize):
+                return self.job.network.iget(
+                    ctx.pe, pe, _nelems, itemsize, self.profile, now,
+                    stride_bytes=_stride,
+                )
             done = self._priced(ctx, self, "iget", pe, price, _fail_at_done)
             raw = self.job.memories[pe].read_strided(
                 src.element_offset(offset), sst * itemsize, itemsize, nelems
@@ -905,24 +867,11 @@ class OneSidedLayer:
         self._check_failed(ctx, "atomic", pe)
         t_start = ctx.clock.now
         if uncontended:
-            proc = back = None
-
             def price(now):
                 return self.job.network.amo_uncontended(
                     ctx.pe, pe, self.profile, now
                 )
-        elif self.vectorized:
-            key = ("a", ctx.pe, pe)
-            entry = self._pricers.get(key)
-            if entry is None:
-                if len(self._pricers) > 65536:
-                    self._pricers.clear()
-                entry = self.job.network.amo_pricer(ctx.pe, pe, self.profile)
-                self._pricers[key] = entry
-            price, proc, back = entry
         else:
-            proc = back = None
-
             def price(now):
                 return self.job.network.amo(ctx.pe, pe, self.profile, now)
         done = self._priced(ctx, self, "atomic", pe, price, _fail_at_done)
@@ -938,18 +887,17 @@ class OneSidedLayer:
             # or CPU attentiveness + handler for AM-emulated atomics)
             # plus the return leg.  This is what gives lock handoff
             # chains their cost.
-            if proc is None:
-                m = self.job.machine
-                if self.job.topology.same_node(ctx.pe, pe):
-                    back = m.intra_latency_us
-                    proc = m.amo_process_us
-                else:
-                    back = m.link_latency_us
-                    proc = (
-                        m.amo_process_us
-                        if self.profile.amo_offload
-                        else m.am_attentiveness_us + m.cpu_am_process_us
-                    )
+            m = self.job.machine
+            if self.job.topology.same_node(ctx.pe, pe):
+                back = m.intra_latency_us
+                proc = m.amo_process_us
+            else:
+                back = m.link_latency_us
+                proc = (
+                    m.amo_process_us
+                    if self.profile.amo_offload
+                    else m.am_attentiveness_us + m.cpu_am_process_us
+                )
             done = max(done, prev_time + proc + back)
         ctx.clock.merge(done)
         tracer = self.job.tracer

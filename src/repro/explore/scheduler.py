@@ -130,22 +130,35 @@ class VirtualTimeOrder(Strategy):
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)  # accepted for make_strategy symmetry
-        self._job: Any = None
+        self._contexts: dict[int, Any] = {}
+        # token -> PE index, filled on first sight of each token.
+        self._pe_of: dict[str, int] = {}
 
     def bind_job(self, job: Any) -> None:
-        self._job = job
-
-    def _clock(self, token: str) -> float:
-        if self._job is None:
-            return 0.0
-        ctx = self._job.pe_contexts.get(int(token[1:]))
-        return ctx.clock.now if ctx is not None else 0.0
+        self._contexts = job.pe_contexts
 
     def choose(self, step: int, choices: list[str]) -> str:
-        nets = [t for t in choices if t[0] == "n"]
-        if nets:
-            return min(nets, key=lambda t: int(t[1:]))
-        return min(choices, key=lambda t: (self._clock(t), int(t[1:])))
+        # One pass, no per-token parsing or key tuples: the lowest
+        # pending delivery wins outright; otherwise the smallest
+        # (clock, PE index).  An unstarted PE's clock reads 0.0.
+        pe_of = self._pe_of
+        contexts = self._contexts
+        best = net = None
+        best_now = best_pe = net_pe = 0
+        for t in choices:
+            i = pe_of.get(t)
+            if i is None:
+                i = pe_of[t] = int(t[1:])
+            if t[0] == "n":
+                if net is None or i < net_pe:
+                    net, net_pe = t, i
+            elif net is None:
+                ctx = contexts.get(i)
+                now = ctx.clock.now if ctx is not None else 0.0
+                if (best is None or now < best_now
+                        or (now == best_now and i < best_pe)):
+                    best, best_now, best_pe = t, now, i
+        return best if net is None else net
 
     def describe(self) -> dict:
         return {"strategy": self.name}
@@ -358,6 +371,9 @@ class Scheduler:
         if bind_job is not None:
             bind_job(job)  # clock-aware strategies read PE clocks from it
         self.num_pes = job.num_pes
+        # Choice tokens are formatted once here, not per decision.
+        self._pe_tokens = [pe_token(t) for t in range(job.num_pes)]
+        self._net_tokens = [net_token(t) for t in range(job.num_pes)]
         self._lock = threading.Lock()
         self._events = [threading.Event() for _ in range(job.num_pes)]
         self._queues = [deque() for _ in range(job.num_pes)]
@@ -422,7 +438,7 @@ class Scheduler:
         if self._job.aborted():
             raise JobAborted(f"job aborted at {op} decision point")
         with self._lock:
-            self.strategy.note_yield(pe_token(pe), spin)
+            self.strategy.note_yield(self._pe_tokens[pe], spin)
             nxt = self._pick()
             if nxt == pe:
                 return
@@ -440,7 +456,7 @@ class Scheduler:
         if self._job.aborted():
             raise JobAborted(f"job aborted entering {reason or 'block'}")
         with self._lock:
-            self.strategy.note_yield(pe_token(pe), False)
+            self.strategy.note_yield(self._pe_tokens[pe], False)
             if not predicate():
                 self._blocked[pe] = (predicate, reason)
             nxt = self._pick()
@@ -469,17 +485,18 @@ class Scheduler:
         """Pick the next PE to run (lock held).  Deliveries chosen by
         the strategy are executed inline; returns None when every task
         has finished."""
+        blocked, finished, queues = self._blocked, self._finished, self._queues
+        pe_tokens, net_tokens = self._pe_tokens, self._net_tokens
         while True:
-            for t in sorted(self._blocked):
-                predicate, _ = self._blocked[t]
-                if predicate():
-                    del self._blocked[t]
+            if blocked:
+                for t in sorted(blocked):
+                    if blocked[t][0]():
+                        del blocked[t]
             choices = [
-                pe_token(t)
-                for t in range(self.num_pes)
-                if t not in self._finished and t not in self._blocked
+                tok for t, tok in enumerate(pe_tokens)
+                if t not in finished and t not in blocked
             ]
-            choices += [net_token(t) for t in range(self.num_pes) if self._queues[t]]
+            choices += [net_tokens[t] for t, q in enumerate(queues) if q]
             if not choices:
                 if len(self._finished) == self.num_pes:
                     return None
@@ -497,7 +514,7 @@ class Scheduler:
             self.steps += 1
             self.trace.append(token)
             if token[0] == "n":
-                self._queues[int(token[1:])].popleft()()
+                queues[int(token[1:])].popleft()()
                 continue
             return int(token[1:])
 

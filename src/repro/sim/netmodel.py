@@ -640,14 +640,18 @@ class NetworkModel:
     # Every pricing method above is a deterministic closed form of
     # (operation, src/dst *node* pair, sizes/counts/strides, conduit)
     # plus the initiator clock ``now`` and the mutable timeline state.
-    # The vectorized data plane therefore memoizes *pricers*: closures
-    # with the now-independent pieces resolved once (node lookups, wire
-    # times, gather gaps, overhead sums, tiled delta templates, branch
-    # selection) that replay the remaining arithmetic — the same float
-    # additions in the same order — per call.  Results are bit-identical
-    # to the plain methods; only redundant Python work is removed.
-    # Actual priced times are NOT cached (they depend on ``now`` and on
-    # timeline state, and float addition is not associative).
+    # The vectorized data plane therefore memoizes *pricers* for whole
+    # transfer plans (``batch_pricer``, which falls back to the scalar
+    # factories at ``count == 1``): closures with the now-independent
+    # pieces resolved once (node lookups, wire times, gather gaps,
+    # overhead sums, tiled delta templates, branch selection) that
+    # replay the remaining arithmetic — the same float additions in the
+    # same order — per call.  Results are bit-identical to the plain
+    # methods; only redundant Python work is removed.  Scalar RMA and
+    # atomics call the plain methods: per (node pair, size) they would
+    # mostly miss, and a hit saves next to nothing.  Actual priced
+    # times are NOT cached (they depend on ``now`` and on timeline
+    # state, and float addition is not associative).
 
     def _pricer(self, key: tuple, make):
         p = self._pricers.get(key)
@@ -821,9 +825,9 @@ class NetworkModel:
         """Memoized :meth:`amo` pricing: ``(price, proc, back)``.
 
         ``proc``/``back`` are the target-side processing and return-leg
-        constants the caller's handoff-causality adjustment needs (the
-        same branch :meth:`OneSidedLayer.atomic` otherwise re-resolves
-        per call).
+        constants a handoff-causality adjustment needs — the same values
+        :meth:`OneSidedLayer.atomic` resolves inline, which prices
+        through :meth:`amo` directly.
         """
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)

@@ -1,6 +1,9 @@
 """The cooperative scheduler: determinism, replay, deadlock/livelock
 detection, exhaustive enumeration, fault-plan composition."""
 
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from repro.explore import (
     ScheduleLimitError,
     Scheduler,
     Strategy,
+    VirtualTimeOrder,
+    get_program,
     make_strategy,
     run_schedule,
     spin_hint,
@@ -200,6 +205,48 @@ def test_pct_depth_changes_schedules():
         traces.add(tuple(sched.trace))
     # Same seed, different depths: at least two distinct interleavings.
     assert len(traces) >= 2
+
+
+def _clocked_job(clocks: dict):
+    return SimpleNamespace(pe_contexts={
+        pe: SimpleNamespace(clock=SimpleNamespace(now=t)) for pe, t in clocks.items()
+    })
+
+
+def test_virtual_time_order_choice_rule():
+    vt = VirtualTimeOrder()
+    # Unbound: every clock reads 0.0, so the lowest PE index wins —
+    # numerically, not lexically.
+    assert vt.choose(0, ["p10", "p9", "p11"]) == "p9"
+    vt.bind_job(_clocked_job({0: 5.0, 2: 1.5, 9: 1.5, 10: 0.5}))
+    # Pending deliveries drain first, lowest initiator first, whatever
+    # the clocks and the list order.
+    assert vt.choose(0, ["p10", "n12", "p0", "n9", "n10"]) == "n9"
+    # Otherwise the smallest clock; ties go to the lower index; a PE
+    # with no context yet reads 0.0.
+    assert vt.choose(0, ["p0", "p2", "p10", "p9"]) == "p10"
+    assert vt.choose(0, ["p9", "p2", "p0"]) == "p2"
+    assert vt.choose(0, ["p0", "p2", "p3"]) == "p3"
+
+
+#: ``Scheduler.trace`` of two explore programs under each seeded or
+#: clock-driven strategy: (decisions, sha256 of the space-joined tokens).
+PINNED_TRACES = {
+    ("locks", "random"): (165, "9dc665334322100d"),
+    ("locks", "pct"): (113, "e7ae954a8c41b824"),
+    ("locks", "vt"): (180, "ce239c937d063b9b"),
+    ("kvservice", "random"): (569, "f7f3c1f263c43103"),
+    ("kvservice", "pct"): (573, "a7bba2304ec93cff"),
+    ("kvservice", "vt"): (591, "ae0de171c8c6ff43"),
+}
+
+
+@pytest.mark.parametrize("program,strategy", sorted(PINNED_TRACES))
+def test_schedule_traces_are_pinned(program, strategy):
+    outcome, _ = run_schedule(get_program(program), make_strategy(strategy, 7))
+    assert outcome.error is None
+    got = hashlib.sha256(" ".join(outcome.choices).encode()).hexdigest()[:16]
+    assert (len(outcome.choices), got) == PINNED_TRACES[program, strategy]
 
 
 def test_exhaustive_enumeration_covers_and_terminates():
