@@ -1,12 +1,11 @@
-"""Wall-clock benchmarks of the batched + vectorized RMA engine.
+"""Wall-clock benchmarks of the batched RMA engine.
 
-Every case runs the same workload three ways — the full fast path (the
-default), the plain batched engine (``REPRO_NO_VECTOR=1``), and the
-per-call oracle (``REPRO_NO_BATCH=1``) — and reports host wall-clock
-seconds for each (best of ``--repeats`` runs, to damp scheduler and
-allocator noise), the speedups, and whether all runs produced identical
-virtual times and stats counters (they must: both fast paths are
-required to be bit-identical in simulated time).
+Every case runs the same workload two ways — the batched fast path (the
+default) and the per-call oracle (``REPRO_NO_BATCH=1``) — and reports
+host wall-clock seconds for each (best of ``--repeats`` runs, to damp
+scheduler and allocator noise), the speedup, and whether both runs
+produced identical virtual times and stats counters (they must: the
+fast path is required to be bit-identical in simulated time).
 
 Cases, per the paper's own motivating example (Section IV-C) and the
 Figs 8/9 synchronization benchmarks:
@@ -56,12 +55,9 @@ from repro.runtime.context import current
 
 @dataclass
 class WallclockCase:
-    """One workload, timed on the fast path and against both oracles.
+    """One workload, timed on the fast path and on the per-call oracle.
 
-    ``speedup`` is fast path vs the per-call oracle (``REPRO_NO_BATCH``);
-    ``vector_speedup`` is fast path vs the plain batched engine
-    (``REPRO_NO_VECTOR``) — the before/after of the vectorized data
-    plane alone.
+    ``speedup`` is fast path vs the per-call oracle (``REPRO_NO_BATCH``).
 
     The ``procs_*`` fields are filled by the ``*-procs`` cases, which
     time the threaded engine against ``engine="process"`` instead of
@@ -81,8 +77,6 @@ class WallclockCase:
     speedup: float
     virtual_identical: bool
     stats_identical: bool
-    novector_s: float = 0.0
-    vector_speedup: float = 0.0
     procs_s: float = 0.0
     procs_speedup: float = 0.0
     procs_identical: bool = True
@@ -92,18 +86,13 @@ class WallclockCase:
 #: allocator noise only ever adds time).
 DEFAULT_REPEATS = 3
 
-_FLAGS = ("REPRO_NO_BATCH", "REPRO_NO_VECTOR")
-
-
-def _timed(fn, *, no_batch: bool, no_vector: bool = False, repeats: int = 1):
-    """Run ``fn`` with the escape hatches forced on/off; returns
+def _timed(fn, *, no_batch: bool, repeats: int = 1):
+    """Run ``fn`` with ``REPRO_NO_BATCH`` forced on/off; returns
     ``(best seconds, result)`` over ``repeats`` runs."""
-    saved = {f: os.environ.pop(f, None) for f in _FLAGS}
+    saved = os.environ.pop("REPRO_NO_BATCH", None)
     try:
         if no_batch:
             os.environ["REPRO_NO_BATCH"] = "1"
-        if no_vector:
-            os.environ["REPRO_NO_VECTOR"] = "1"
         best = float("inf")
         result = None
         for _ in range(max(1, repeats)):
@@ -112,20 +101,18 @@ def _timed(fn, *, no_batch: bool, no_vector: bool = False, repeats: int = 1):
             best = min(best, time.perf_counter() - t0)
         return best, result
     finally:
-        for f in _FLAGS:
-            os.environ.pop(f, None)
-            if saved[f] is not None:
-                os.environ[f] = saved[f]
+        os.environ.pop("REPRO_NO_BATCH", None)
+        if saved is not None:
+            os.environ["REPRO_NO_BATCH"] = saved
 
 
 def _case(name, description, fn, *, virtual_eq, stats_eq,
           repeats: int = DEFAULT_REPEATS) -> WallclockCase:
     # One untimed pass first: the batched mode is measured first, and
     # without this it alone pays import, worker-pool spawn, and numpy
-    # first-touch costs — which read as a phantom vector-path slowdown.
+    # first-touch costs — which read as a phantom fast-path slowdown.
     _timed(fn, no_batch=False, repeats=1)
     batched_s, batched = _timed(fn, no_batch=False, repeats=repeats)
-    novector_s, novector = _timed(fn, no_batch=False, no_vector=True, repeats=repeats)
     unbatched_s, oracle = _timed(fn, no_batch=True, repeats=repeats)
     return WallclockCase(
         name=name,
@@ -133,10 +120,8 @@ def _case(name, description, fn, *, virtual_eq, stats_eq,
         batched_s=round(batched_s, 4),
         unbatched_s=round(unbatched_s, 4),
         speedup=round(unbatched_s / batched_s, 2) if batched_s > 0 else float("inf"),
-        virtual_identical=virtual_eq(batched, oracle) and virtual_eq(batched, novector),
-        stats_identical=stats_eq(batched, oracle) and stats_eq(batched, novector),
-        novector_s=round(novector_s, 4),
-        vector_speedup=round(novector_s / batched_s, 2) if batched_s > 0 else float("inf"),
+        virtual_identical=virtual_eq(batched, oracle),
+        stats_identical=stats_eq(batched, oracle),
     )
 
 
@@ -327,8 +312,7 @@ def locks_case(quick: bool = False, repeats: int = DEFAULT_REPEATS) -> Wallclock
     return _case(
         "locks",
         f"MCS lock contention, {images} images x {acquires} acquires "
-        "(Fig 8 shape); scalar atomics only, no vectorizable transfers, "
-        "so vector_speedup is a noise-floor indicator (~1.0)",
+        "(Fig 8 shape); scalar atomics only, no batchable transfers",
         fn,
         virtual_eq=lambda a, b: a == b,  # elapsed virtual microseconds
         stats_eq=lambda a, b: True,
@@ -369,8 +353,7 @@ def dht_case(quick: bool = False, repeats: int = DEFAULT_REPEATS) -> WallclockCa
         "dht",
         f"DHT, {images} images, {updates} single-writer random "
         "inserts/updates (Fig 9 shape); scalar puts/atomics only, no "
-        "vectorizable transfers, so vector_speedup is a noise-floor "
-        "indicator (~1.0)",
+        "batchable transfers",
         fn,
         virtual_eq=lambda a, b: a == b,  # elapsed virtual microseconds
         stats_eq=lambda a, b: True,
@@ -522,16 +505,16 @@ def write_json(results: list[WallclockCase], path: str | Path) -> Path:
 
 def render(results: list[WallclockCase]) -> str:
     lines = [
-        f"{'case':<18} {'fast (s)':>10} {'novector (s)':>13} {'unbatched (s)':>14} "
-        f"{'speedup':>8} {'vs novec':>9} {'procs (s)':>10} {'procs':>7}  invariant"
+        f"{'case':<18} {'fast (s)':>10} {'unbatched (s)':>14} "
+        f"{'speedup':>8} {'procs (s)':>10} {'procs':>7}  invariant"
     ]
     for c in results:
         ok = "yes" if (c.virtual_identical and c.stats_identical) else "NO"
         procs_s = f"{c.procs_s:>10.4f}" if c.procs_s else f"{'-':>10}"
         procs_x = f"{c.procs_speedup:>6.2f}x" if c.procs_s else f"{'-':>7}"
         lines.append(
-            f"{c.name:<18} {c.batched_s:>10.4f} {c.novector_s:>13.4f} "
-            f"{c.unbatched_s:>14.4f} {c.speedup:>7.2f}x {c.vector_speedup:>8.2f}x "
+            f"{c.name:<18} {c.batched_s:>10.4f} "
+            f"{c.unbatched_s:>14.4f} {c.speedup:>7.2f}x "
             f"{procs_s} {procs_x}  {ok}"
         )
     return "\n".join(lines)
@@ -541,8 +524,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.wallclock",
         description=(
-            "Wall-clock timings of the vectorized RMA engine vs "
-            "REPRO_NO_VECTOR=1 and REPRO_NO_BATCH=1."
+            "Wall-clock timings of the batched RMA engine vs the "
+            "REPRO_NO_BATCH=1 per-call oracle."
         ),
     )
     parser.add_argument("--quick", action="store_true", help="CI-sized workloads")

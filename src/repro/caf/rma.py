@@ -12,8 +12,9 @@ Execution normally goes through the layer's **batched fast path**
 through a precomputed index array, one tracer record.  Virtual
 timestamps and all stats are bit-identical to the per-call loop, which
 is kept both as the ``REPRO_NO_BATCH=1`` escape hatch (set the
-environment variable to force the sequential path) and as the oracle
-the invariance tests compare against.
+environment variable before a launch to force the sequential path; the
+layer samples it once, as :attr:`OneSidedLayer.batching`) and as the
+oracle the invariance tests compare against.
 
 ``stats`` is a :class:`collections.Counter` the runtime passes in; it
 records the number of *logical* underlying calls — the quantity the
@@ -28,12 +29,11 @@ from collections import Counter
 import numpy as np
 
 from repro.caf.strided import DimSel, TransferPlan
-from repro.comm.base import BatchSpec, OneSidedLayer, batching_enabled
+from repro.comm.base import BatchSpec, OneSidedLayer
 from repro.comm.heap import SymmetricArray
 
 __all__ = [
     "BatchSpec",
-    "batching_enabled",
     "build_spec",
     "execute_get",
     "execute_put",
@@ -114,7 +114,7 @@ def execute_put(
         flat = np.ascontiguousarray(moved).reshape(-1)
     else:
         flat = payload.reshape(-1)
-    if batching_enabled():
+    if layer.batching:
         # Single-call plans skip the batch machinery entirely: one line
         # is exactly one iput (one run one put), with bit-identical
         # pricing, stats, and trace — and no index-array construction.
@@ -173,7 +173,7 @@ def execute_get(
     """Read the selection from ``pe`` under ``plan``; returns an array
     shaped like the (unsqueezed) selection."""
     shape = _sel_shape(sels)
-    use_batch = batching_enabled()
+    use_batch = layer.batching
     if use_batch:
         # Mirror execute_put's single-call short-circuit (same
         # bit-identity argument, no index-array construction).

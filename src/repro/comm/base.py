@@ -33,11 +33,7 @@ from repro.runtime.context import current
 from repro.runtime.launcher import Job
 from repro.comm.constants import comparator
 from repro.sim.netmodel import ConduitProfile, get_conduit
-from repro.trace.events import (
-    contiguous_footprint,
-    offsets_footprint,
-    strided_footprint,
-)
+from repro.trace.events import contiguous_footprint
 
 #: How the initiator learns an attempt failed, per operation family:
 #: put-like operations observe the NACK at remote completion, get-like
@@ -50,41 +46,25 @@ def _fail_at_done(done: float) -> float:
 
 
 def batching_enabled() -> bool:
-    """The batched fast path is on unless ``REPRO_NO_BATCH`` is set."""
+    """The batched fast path is on unless ``REPRO_NO_BATCH`` is set.
+
+    Sampled once per job, when the layer is built
+    (:attr:`OneSidedLayer.batching`); setting the variable inside a
+    running job changes nothing until the next launch.
+    """
     return not os.environ.get("REPRO_NO_BATCH")
 
 
-def vector_enabled() -> bool:
-    """The vectorized data plane (index-array scatter/gather, memoized
-    plan pricers, lazy trace footprints) is on unless ``REPRO_NO_VECTOR``
-    is set.  ``REPRO_NO_VECTOR=1`` falls back to the plain batched
-    engine — same virtual times, stats, and bytes; only more Python work
-    — which isolates this fast path for debugging and benchmarking.
-    Scalar RMA and atomics price the same way under either setting.
-
-    Both flags are read once per job at layer construction.
-    """
-    return not os.environ.get("REPRO_NO_VECTOR")
+#: Plans moving fewer total elements than this move their data through
+#: the plain ``write_at``/``read_at`` route; larger ones use the spec's
+#: precompiled index array (``BatchSpec.vector_index`` + single-copy
+#: ``scatter_at``/``gather_at``).  Below the threshold, building and
+#: validating index arrays costs more wall clock than it saves.  Both
+#: routes are bit-identical in virtual time and data.
+VECTOR_MIN_ELEMS = 512
 
 
-#: Plans moving fewer total elements than this skip the vectorized
-#: index-compilation path (``BatchSpec.vector_index`` + fancy-indexed
-#: scatter/gather) and take the plain ``write_at``/``read_at`` route
-#: instead: below the threshold, building/validating index arrays costs
-#: more wall clock than it saves.  Pricing stays memoized either way
-#: and both data paths are bit-identical by contract, so the switch
-#: affects wall clock only.  Override with ``REPRO_VECTOR_MIN_ELEMS``.
-DEFAULT_VECTOR_MIN_ELEMS = 512
-
-
-def vector_min_elems() -> int:
-    raw = os.environ.get("REPRO_VECTOR_MIN_ELEMS")
-    if raw is None or raw == "":
-        return DEFAULT_VECTOR_MIN_ELEMS
-    return int(raw)
-
-
-#: Element sizes the vectorized plane can move via a reinterpret-cast
+#: Element sizes the index-array route can move via a reinterpret-cast
 #: view (uint8 plus :attr:`PEMemory._VIEW_DTYPES`); other sizes scatter
 #: through a byte-expanded index.
 _VIEWABLE_SIZES = frozenset((1, 2, 4, 8))
@@ -115,7 +95,7 @@ class BatchSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("runs", "lines"):
             raise ValueError(f"unknown batch kind {self.kind!r}")
-        # Lazy per-spec caches for the vectorized plane (plain attributes
+        # Lazy per-spec caches for the index-array route (plain attributes
         # on a frozen non-slots dataclass; set via object.__setattr__).
         # Races under the GIL are benign: readers validate the memo's
         # base offset and a lost race rebuilds an identical array.
@@ -187,21 +167,19 @@ class OneSidedLayer:
             profile = get_conduit(profile)
         self.job = job
         self.profile = profile
-        # Escape hatches, sampled once per job (the wallclock bench and
-        # the invariance tests toggle them between launches, never
-        # mid-job): REPRO_NO_BATCH=1 forces the per-call oracle path,
-        # REPRO_NO_VECTOR=1 keeps batching but disables the vectorized
-        # data plane (memoized plan pricers, cached index arrays, lazy
-        # trace footprints).
+        # The per-call oracle switch, sampled once per job (the
+        # wallclock bench and the invariance tests toggle it between
+        # launches): REPRO_NO_BATCH=1 makes repro.caf.rma issue every
+        # plan as a loop of put/iput/get/iget calls.
         self.batching = batching_enabled()
-        self.vectorized = self.batching and vector_enabled()
         # Whole-plan batch pricers (:meth:`_plan_pricer`), keyed by small
         # int tuples (src PE, dst PE, plan shape): section loops reuse
-        # them.  Scalar put/get/iput/iget/atomic price through the
-        # direct NetworkModel methods instead — a per-PE-pair memo
-        # mostly misses at scale and saves nothing when it hits.  Plain
-        # dict: get/set are GIL-atomic and a lost race merely builds an
-        # equivalent closure twice.
+        # them.  The network model keeps no memo of its own.  Scalar
+        # put/get/iput/iget/atomic price through the direct NetworkModel
+        # methods instead — a per-PE-pair memo mostly misses at scale
+        # and saves nothing when it hits.  Plain dict: get/set are
+        # GIL-atomic and a lost race merely builds an equivalent closure
+        # twice.
         self._pricers: dict[tuple, object] = {}
         # Max outstanding remote-completion time of each PE's puts.
         self._pending = [0.0] * job.num_pes
@@ -223,10 +201,6 @@ class OneSidedLayer:
         # point is a single ``is not None`` test and the clean-abort
         # baseline stays byte-for-byte.
         self._failed = job.failed if getattr(job, "survivable", False) else None
-        # Wall-clock threshold for the vectorized index path (plans
-        # moving fewer elements take the plain route; virtual times are
-        # unaffected — see :func:`vector_min_elems`).
-        self.vector_min_elems = vector_min_elems() if self.vectorized else 0
 
     # ------------------------------------------------------------------
     # Registered-segment ("symmetric") memory
@@ -475,13 +449,11 @@ class OneSidedLayer:
             tracer = self.job.tracer
             if tracer is not None:
                 addr = dest.element_offset(offset)
-                if not tracer.capture_sync:
-                    fp = ()
-                elif self.vectorized:
-                    # Deferred: materialized by the tracer on first read.
-                    fp = ("@str", addr, tst * itemsize, itemsize, nelems)
-                else:
-                    fp = strided_footprint(addr, tst * itemsize, itemsize, nelems)
+                # Deferred: materialized by the tracer on first read.
+                fp = (
+                    ("@str", addr, tst * itemsize, itemsize, nelems)
+                    if tracer.capture_sync else ()
+                )
                 tracer.record(
                     ctx.pe, "iput", pe, nelems * itemsize, t_start, ctx.clock.now,
                     addr=addr, footprint=fp,
@@ -523,12 +495,10 @@ class OneSidedLayer:
             tracer = self.job.tracer
             if tracer is not None:
                 addr = src.element_offset(offset)
-                if not tracer.capture_sync:
-                    fp = ()
-                elif self.vectorized:
-                    fp = ("@str", addr, sst * itemsize, itemsize, nelems)
-                else:
-                    fp = strided_footprint(addr, sst * itemsize, itemsize, nelems)
+                fp = (
+                    ("@str", addr, sst * itemsize, itemsize, nelems)
+                    if tracer.capture_sync else ()
+                )
                 tracer.record(
                     ctx.pe, "iget", pe, nelems * itemsize, t_start, ctx.clock.now,
                     addr=addr, footprint=fp,
@@ -542,70 +512,26 @@ class OneSidedLayer:
     # ------------------------------------------------------------------
     # Batched plan execution
     # ------------------------------------------------------------------
-    def _plan_price(self, direction: str, spec: BatchSpec, itemsize: int, pe: int):
-        """Aggregate pricing for a whole plan; returns (price, op, calls)
-        with ``price(now)`` pricing one attempt of the whole batch.
-
-        The network batch methods (and the memoized batch pricers on
-        the vectorized plane) replay the exact per-call float
-        arithmetic, so timing is bit-identical to the sequential loop.
-        Non-native line plans degenerate to one put/get per *element*,
-        just like :meth:`iput` does.
-        """
-        ctx_pe = current().pe
-        if self.vectorized:
-            return self._plan_pricer(direction, spec, itemsize, ctx_pe, pe)
-        net = self.job.network
-        if spec.kind == "lines" and self.profile.iput_native:
-            batch = net.iput_batch if direction == "put" else net.iget_batch
-
-            def price(now, _batch=batch):
-                return _batch(
-                    ctx_pe, pe, spec.nelems_per_call, itemsize, spec.ncalls,
-                    self.profile, now, stride_bytes=spec.stride * itemsize,
-                )
-
-            return price, ("iput" if direction == "put" else "iget"), spec.ncalls
-        batch = net.put_batch if direction == "put" else net.get_batch
-        if spec.kind == "lines":
-
-            def price(now, _batch=batch):
-                return _batch(ctx_pe, pe, itemsize, spec.total_elems, self.profile, now)
-
-            return price, ("put" if direction == "put" else "get"), spec.total_elems
-
-        def price(now, _batch=batch):
-            return _batch(
-                ctx_pe, pe, spec.nelems_per_call * itemsize, spec.ncalls,
-                self.profile, now,
-            )
-
-        return price, ("put" if direction == "put" else "get"), spec.ncalls
-
     def _plan_pricer(self, direction: str, spec: BatchSpec, itemsize: int,
                      src: int, dst: int):
-        """Memoized pricer for a whole plan; returns (pricer, op, calls).
+        """Memoized pricer for a whole plan; returns ``(price, op,
+        calls)`` with ``price(now)`` pricing one attempt of the batch.
 
-        Same branch structure as :meth:`_plan_price`, but routed through
-        :meth:`NetworkModel.batch_pricer` so the now-independent
-        arithmetic is resolved once per (plan shape, placement) and
-        replayed across iterations.  Front-memoized in the layer's flat
-        pricer cache: everything pricing-relevant about a plan is its
-        (kind, ncalls, nelems_per_call, stride) shape.
+        :meth:`NetworkModel.batch_pricer` replays the exact per-call
+        float arithmetic, so timing is bit-identical to the sequential
+        loop; its now-independent part is resolved once per (plan shape,
+        placement) and kept here, since everything pricing-relevant
+        about a plan is its (kind, ncalls, nelems_per_call, stride)
+        shape.  Non-native line plans degenerate to one put/get per
+        *element*, just like :meth:`iput` does.
         """
-        key = ("pl", direction, src, dst, itemsize, spec.kind,
+        key = (direction, src, dst, itemsize, spec.kind,
                spec.ncalls, spec.nelems_per_call, spec.stride)
         entry = self._pricers.get(key)
         if entry is not None:
             return entry
         if len(self._pricers) > 65536:
             self._pricers.clear()
-        entry = self._make_plan_pricer(direction, spec, itemsize, src, dst)
-        self._pricers[key] = entry
-        return entry
-
-    def _make_plan_pricer(self, direction: str, spec: BatchSpec, itemsize: int,
-                          src: int, dst: int):
         net = self.job.network
         if spec.kind == "lines" and self.profile.iput_native:
             op = "iput" if direction == "put" else "iget"
@@ -614,19 +540,21 @@ class OneSidedLayer:
                 nelems=spec.nelems_per_call, elem_size=itemsize,
                 stride_bytes=spec.stride * itemsize,
             )
-            return pricer, op, spec.ncalls
-        op = "put" if direction == "put" else "get"
-        if spec.kind == "lines":
+            entry = pricer, op, spec.ncalls
+        elif spec.kind == "lines":
             pricer = net.batch_pricer(
-                op, src, dst, count=spec.total_elems, conduit=self.profile,
-                nbytes=itemsize,
+                direction, src, dst, count=spec.total_elems,
+                conduit=self.profile, nbytes=itemsize,
             )
-            return pricer, op, spec.total_elems
-        pricer = net.batch_pricer(
-            op, src, dst, count=spec.ncalls, conduit=self.profile,
-            nbytes=spec.nelems_per_call * itemsize,
-        )
-        return pricer, op, spec.ncalls
+            entry = pricer, direction, spec.total_elems
+        else:
+            pricer = net.batch_pricer(
+                direction, src, dst, count=spec.ncalls, conduit=self.profile,
+                nbytes=spec.nelems_per_call * itemsize,
+            )
+            entry = pricer, direction, spec.ncalls
+        self._pricers[key] = entry
+        return entry
 
     def execute_plan_put(
         self, dest: SymmetricArray, value, pe: int, spec: BatchSpec
@@ -650,61 +578,43 @@ class OneSidedLayer:
         self._check_failed(ctx, "put", pe)
         t_start = ctx.clock.now
         itemsize = dest.itemsize
-        price, op, calls = self._plan_price("put", spec, itemsize, pe)
+        price, op, calls = self._plan_pricer("put", spec, itemsize, ctx.pe, pe)
         timing = self._priced(ctx, self, op, pe, price, _FAIL_AT_REMOTE)
         mem = self.job.memories[pe]
         ts = timing.remote_complete
         # Small plans skip index compilation: below the threshold the
         # plain write path is cheaper in wall clock (bit-identical in
         # virtual time and data either way).
-        vec = self.vectorized and spec.total_elems >= self.vector_min_elems
-        if vec:
+        if spec.total_elems >= VECTOR_MIN_ELEMS:
             expanded, index, lo, hi = spec.vector_index(dest.byte_offset)
-            if self._eager:
+
+            def write(payload):
                 mem.scatter_at(
-                    index, data, timestamp=ts,
+                    index, payload, timestamp=ts,
                     elem_size=itemsize, lo=lo, hi=hi, expanded=expanded,
-                )
-            else:
-                payload = data.copy()
-                self._deposit(
-                    ctx,
-                    lambda: mem.scatter_at(
-                        index, payload, timestamp=ts,
-                        elem_size=itemsize, lo=lo, hi=hi, expanded=expanded,
-                    ),
                 )
         else:
             abs_index = spec.rel_index + dest.byte_offset
             aligned = dest.byte_offset % itemsize == 0
-            if self._eager:
-                mem.write_at(
-                    abs_index,
-                    itemsize,
-                    data,
-                    timestamp=ts,
-                    aligned=aligned,
-                )
-            else:
-                payload = data.copy()
-                self._deposit(
-                    ctx,
-                    lambda: mem.write_at(
-                        abs_index, itemsize, payload, timestamp=ts, aligned=aligned
-                    ),
-                )
+
+            def write(payload):
+                mem.write_at(abs_index, itemsize, payload, timestamp=ts, aligned=aligned)
+        if self._eager:
+            write(data)
+        else:
+            # Weak completion: deposit a copy (see :meth:`put`).
+            payload = data.copy()
+            self._deposit(ctx, lambda: write(payload))
         ctx.clock.merge(timing.local_complete)
         if timing.remote_complete > self._pending[ctx.pe]:
             self._pending[ctx.pe] = timing.remote_complete
         tracer = self.job.tracer
         if tracer is not None:
-            if not tracer.capture_sync:
-                fp = ()
-            elif self.vectorized:
-                # Deferred: the tracer merges intervals at read time.
-                fp = ("@off", spec.rel_index, dest.byte_offset, itemsize)
-            else:
-                fp = offsets_footprint(spec.rel_index + dest.byte_offset, itemsize)
+            # Deferred: the tracer merges intervals at read time.
+            fp = (
+                ("@off", spec.rel_index, dest.byte_offset, itemsize)
+                if tracer.capture_sync else ()
+            )
             tracer.record(
                 ctx.pe, op, pe, data.nbytes, t_start, ctx.clock.now, calls=calls,
                 addr=dest.byte_offset + spec.min_elem * itemsize, footprint=fp,
@@ -725,9 +635,9 @@ class OneSidedLayer:
         self._check_failed(ctx, "get", pe)
         t_start = ctx.clock.now
         itemsize = src.itemsize
-        price, op, calls = self._plan_price("get", spec, itemsize, pe)
+        price, op, calls = self._plan_pricer("get", spec, itemsize, ctx.pe, pe)
         done = self._priced(ctx, self, op, pe, price, _fail_at_done)
-        if self.vectorized and spec.total_elems >= self.vector_min_elems:
+        if spec.total_elems >= VECTOR_MIN_ELEMS:
             expanded, index, lo, hi = spec.vector_index(src.byte_offset)
             raw = self.job.memories[pe].gather_at(
                 index, elem_size=itemsize, lo=lo, hi=hi, expanded=expanded
@@ -741,12 +651,10 @@ class OneSidedLayer:
         ctx.clock.merge(done)
         tracer = self.job.tracer
         if tracer is not None:
-            if not tracer.capture_sync:
-                fp = ()
-            elif self.vectorized:
-                fp = ("@off", spec.rel_index, src.byte_offset, itemsize)
-            else:
-                fp = offsets_footprint(spec.rel_index + src.byte_offset, itemsize)
+            fp = (
+                ("@off", spec.rel_index, src.byte_offset, itemsize)
+                if tracer.capture_sync else ()
+            )
             tracer.record(
                 ctx.pe, op, pe, raw.size, t_start, ctx.clock.now, calls=calls,
                 addr=src.byte_offset + spec.min_elem * itemsize, footprint=fp,

@@ -53,22 +53,6 @@ from repro.sim.resources import Timeline
 from repro.sim.topology import Topology
 
 
-def _alternating_chain(start: float, deltas: tuple[float, ...], reps: int) -> np.ndarray:
-    """``cumsum([start, *deltas, *deltas, ...])`` with ``reps`` repetitions.
-
-    ``np.cumsum`` accumulates strictly left to right, so the result is
-    bit-for-bit the value chain a scalar loop applying ``deltas`` in
-    order ``reps`` times would produce — the backbone of every batch
-    pricing method below.
-    """
-    k = len(deltas)
-    seq = np.empty(1 + k * reps, dtype=np.float64)
-    seq[0] = start
-    if reps:
-        seq[1:] = np.tile(np.asarray(deltas, dtype=np.float64), reps)
-    return np.cumsum(seq)
-
-
 @dataclass(frozen=True, slots=True)
 class TransferTiming:
     """When a one-sided transfer completes, from both ends."""
@@ -240,10 +224,6 @@ class NetworkModel:
         self._amo = [tf(f"node{i}.amo") for i in range(n)]
         self._cpu = [tf(f"node{i}.amcpu") for i in range(n)]
         self._machine = m
-        # Memoized pricing closures (see the "pricer" section below).
-        # Plain dict; get/set are GIL-atomic and a lost race merely
-        # builds an equivalent closure twice.
-        self._pricers: dict[tuple, object] = {}
 
     # -- helpers ------------------------------------------------------
     def _wire_time(self, nbytes: int, conduit: ConduitProfile) -> float:
@@ -303,6 +283,14 @@ class NetworkModel:
         return rx_end
 
     @staticmethod
+    def _check_native(conduit: ConduitProfile, op: str) -> None:
+        """Strided ``op`` (``iput``/``iget``) needs a native conduit."""
+        if not conduit.iput_native:
+            raise ValueError(
+                f"{conduit.name} has no native {op}; caller must loop over {op[1:]}()"
+            )
+
+    @staticmethod
     def _gather_gap(
         conduit: ConduitProfile, elem_size: int, stride_bytes: int | None
     ) -> float:
@@ -338,10 +326,7 @@ class NetworkModel:
         by the SHMEM layer, mirroring how MVAPICH2-X implements
         ``shmem_iput`` as a series of contiguous puts.
         """
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iput; caller must loop over put()"
-            )
+        self._check_native(conduit, "iput")
         if nelems < 0 or elem_size <= 0:
             raise ValueError("nelems must be >= 0 and elem_size > 0")
         m = self._machine
@@ -378,10 +363,7 @@ class NetworkModel:
         Like :meth:`get` but the target NIC pays a per-element gather gap.
         Only valid for ``conduit.iput_native`` conduits.
         """
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iget; caller must loop over get()"
-            )
+        self._check_native(conduit, "iget")
         if nelems < 0 or elem_size <= 0:
             raise ValueError("nelems must be >= 0 and elem_size > 0")
         m = self._machine
@@ -399,20 +381,30 @@ class NetworkModel:
 
     # -- batched one-sided data movement -------------------------------
     #
-    # Each *_batch method prices ``count`` identical back-to-back calls
-    # issued by one initiator whose clock merges each call's local
-    # completion before the next call (exactly what OneSidedLayer does),
-    # returning the timing of the *final* call.  Within such a chain the
-    # intermediate local/remote times increase monotonically, so callers
-    # that only need the final clock value, the final pending-remote
-    # time, and a single max-stamped memory update lose nothing.  All
-    # arithmetic replays the scalar path's additions in the same order
-    # (cumsum chains + the timelines' batch primitives), making every
-    # returned time and every timeline counter bit-identical to ``count``
+    # A batch prices ``count`` identical back-to-back calls issued by one
+    # initiator whose clock merges each call's local completion before
+    # the next call (exactly what OneSidedLayer does), returning the
+    # timing of the *final* call.  Within such a chain the intermediate
+    # local/remote times increase monotonically, so callers that only
+    # need the final clock value, the final pending-remote time, and a
+    # single max-stamped memory update lose nothing.  All arithmetic
+    # replays the scalar path's additions in the same order (cumsum
+    # chains + the timelines' batch primitives), making every returned
+    # time and every timeline counter bit-identical to ``count``
     # sequential calls.  The whole chain is priced atomically; under
     # multi-initiator contention the scalar path could interleave with
     # other PEs' reservations, but that interleaving is scheduler-
     # dependent (nondeterministic) either way.
+    #
+    # Each chain is written once, as a ``_make_*_batch`` builder: it
+    # resolves the now-independent pieces (node lookups, wire times,
+    # gather gaps, overhead sums, tiled delta templates, branch
+    # selection) and returns a ``price(now)`` closure that replays the
+    # rest.  :meth:`batch_pricer` picks the builder (or, at
+    # ``count == 1``, a closure over the direct method); the layer
+    # memoizes its result per plan shape, and the ``*_batch`` methods
+    # build one and call it.  Priced times are never cached: they depend
+    # on ``now`` and on timeline state.
 
     def put_batch(
         self,
@@ -424,56 +416,9 @@ class NetworkModel:
         now: float,
     ) -> TransferTiming:
         """Price ``count`` identical contiguous puts; final call's timing."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count == 1:
-            return self.put(src, dst, nbytes, conduit, now)
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        m = self._machine
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            # done_k = ((now_k + 0.5*o) + lat) + nbytes/bw; now_{k+1} = done_k
-            full = _alternating_chain(
-                now,
-                (
-                    0.5 * conduit.o_put_us,
-                    m.intra_latency_us,
-                    nbytes / m.intra_bandwidth_Bpus,
-                ),
-                count,
-            )
-            done = float(full[-1])
-            return TransferTiming(local_complete=done, remote_complete=done)
-        wire = self._wire_time(nbytes, conduit)
-        if nbytes <= conduit.eager_threshold:
-            # Eager: local_k = ready_k = now_k + o, so the ready chain is
-            # independent of the timelines and fully precomputable.
-            ready = _alternating_chain(now, (conduit.o_put_us,), count)[1:]
-            tx_starts = self._tx[src_node].reserve_batch(ready, wire)
-            rx_starts = self._rx[dst_node].reserve_batch(
-                tx_starts + m.link_latency_us, wire
-            )
-            return TransferTiming(
-                local_complete=float(ready[-1]),
-                remote_complete=float(rx_starts[-1] + wire),
-            )
-        # Rendezvous: local_k = tx_end_k, so ready_{k+1} = tx_end_k + o_r
-        # >= tx_end_k = tx next_free — only the first call can queue.
-        o_r = conduit.o_put_us + conduit.rendezvous_extra_us
-        s1, _ = self._tx[src_node].reserve(now + o_r, wire)
-        full = _alternating_chain(s1, (wire, o_r), count - 1)
-        tx_starts = full[0::2]
-        tx_end_last = float(tx_starts[-1] + wire)
-        self._tx[src_node].push_batch(tx_end_last, count - 1, wire)
-        rx_starts = self._rx[dst_node].reserve_batch(
-            tx_starts + m.link_latency_us, wire
-        )
-        return TransferTiming(
-            local_complete=tx_end_last,
-            remote_complete=float(rx_starts[-1] + wire),
-        )
+        return self.batch_pricer(
+            "put", src, dst, count=count, conduit=conduit, nbytes=nbytes
+        )(now)
 
     def get_batch(
         self,
@@ -485,44 +430,9 @@ class NetworkModel:
         now: float,
     ) -> float:
         """Price ``count`` identical blocking gets; final completion time."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count == 1:
-            return self.get(src, dst, nbytes, conduit, now)
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        m = self._machine
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            full = _alternating_chain(
-                now,
-                (
-                    0.5 * conduit.o_get_us,
-                    m.intra_latency_us,
-                    nbytes / m.intra_bandwidth_Bpus,
-                ),
-                count,
-            )
-            return float(full[-1])
-        wire = self._wire_time(nbytes, conduit)
-        # First call can queue on both timelines; reserve it for real.
-        s1, _ = self._tx[dst_node].reserve(
-            now + conduit.o_get_us + m.link_latency_us, wire
-        )
-        _, done1 = self._rx[src_node].reserve(s1 + m.link_latency_us, wire)
-        # done_{k-1} -> +o_get -> +L -> tx_start_k -> +L -> rx_start_k
-        # -> +wire -> done_k; each earliest provably >= the timeline's
-        # next_free left by the previous call, so no re-queueing.
-        full = _alternating_chain(
-            done1,
-            (conduit.o_get_us, m.link_latency_us, m.link_latency_us, wire),
-            count - 1,
-        )
-        tx_starts = full[2::4]
-        self._tx[dst_node].push_batch(float(tx_starts[-1] + wire), count - 1, wire)
-        self._rx[src_node].push_batch(float(full[-1]), count - 1, wire)
-        return float(full[-1])
+        return self.batch_pricer(
+            "get", src, dst, count=count, conduit=conduit, nbytes=nbytes
+        )(now)
 
     def iput_batch(
         self,
@@ -536,49 +446,10 @@ class NetworkModel:
         stride_bytes: int | None = None,
     ) -> TransferTiming:
         """Price ``count`` identical native strided puts; final timing."""
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iput; caller must loop over put()"
-            )
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count == 1:
-            return self.iput(src, dst, nelems, elem_size, conduit, now, stride_bytes)
-        if nelems < 0 or elem_size <= 0:
-            raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
-        nbytes = nelems * elem_size
-        gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            full = _alternating_chain(
-                now,
-                (
-                    0.5 * conduit.o_put_us,
-                    m.intra_latency_us,
-                    nbytes / m.intra_bandwidth_Bpus,
-                    nelems * gap,
-                ),
-                count,
-            )
-            done = float(full[-1])
-            return TransferTiming(local_complete=done, remote_complete=done)
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        # local_k = tx_end_k, so ready_{k+1} = tx_end_k + o >= next_free:
-        # only the first descriptor can queue on the injection engine.
-        s1, _ = self._tx[src_node].reserve(now + conduit.o_put_us, duration)
-        full = _alternating_chain(s1, (duration, conduit.o_put_us), count - 1)
-        tx_starts = full[0::2]
-        tx_end_last = float(tx_starts[-1] + duration)
-        self._tx[src_node].push_batch(tx_end_last, count - 1, duration)
-        rx_starts = self._rx[dst_node].reserve_batch(
-            tx_starts + m.link_latency_us, duration
-        )
-        return TransferTiming(
-            local_complete=tx_end_last,
-            remote_complete=float(rx_starts[-1] + duration),
-        )
+        return self.batch_pricer(
+            "iput", src, dst, count=count, conduit=conduit, nelems=nelems,
+            elem_size=elem_size, stride_bytes=stride_bytes,
+        )(now)
 
     def iget_batch(
         self,
@@ -592,140 +463,26 @@ class NetworkModel:
         stride_bytes: int | None = None,
     ) -> float:
         """Price ``count`` identical native strided gets; final completion."""
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iget; caller must loop over get()"
-            )
-        if count <= 0:
-            raise ValueError("count must be positive")
-        if count == 1:
-            return self.iget(src, dst, nelems, elem_size, conduit, now, stride_bytes)
-        if nelems < 0 or elem_size <= 0:
-            raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
-        nbytes = nelems * elem_size
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-        if src_node == dst_node:
-            full = _alternating_chain(
-                now,
-                (
-                    0.5 * conduit.o_get_us,
-                    m.intra_latency_us,
-                    nbytes / m.intra_bandwidth_Bpus,
-                ),
-                count,
-            )
-            return float(full[-1])
-        gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        s1, _ = self._tx[dst_node].reserve(
-            now + conduit.o_get_us + m.link_latency_us, duration
-        )
-        _, done1 = self._rx[src_node].reserve(s1 + m.link_latency_us, duration)
-        full = _alternating_chain(
-            done1,
-            (conduit.o_get_us, m.link_latency_us, m.link_latency_us, duration),
-            count - 1,
-        )
-        tx_starts = full[2::4]
-        self._tx[dst_node].push_batch(
-            float(tx_starts[-1] + duration), count - 1, duration
-        )
-        self._rx[src_node].push_batch(float(full[-1]), count - 1, duration)
-        return float(full[-1])
+        return self.batch_pricer(
+            "iget", src, dst, count=count, conduit=conduit, nelems=nelems,
+            elem_size=elem_size, stride_bytes=stride_bytes,
+        )(now)
 
-    # -- memoized pricing closures -------------------------------------
+    # -- pricing closures ------------------------------------------------
     #
-    # Every pricing method above is a deterministic closed form of
-    # (operation, src/dst *node* pair, sizes/counts/strides, conduit)
-    # plus the initiator clock ``now`` and the mutable timeline state.
-    # The vectorized data plane therefore memoizes *pricers* for whole
-    # transfer plans (``batch_pricer``, which falls back to the scalar
-    # factories at ``count == 1``): closures with the now-independent
-    # pieces resolved once (node lookups, wire times, gather gaps,
-    # overhead sums, tiled delta templates, branch selection) that
-    # replay the remaining arithmetic — the same float additions in the
-    # same order — per call.  Results are bit-identical to the plain
-    # methods; only redundant Python work is removed.  Scalar RMA and
-    # atomics call the plain methods: per (node pair, size) they would
-    # mostly miss, and a hit saves next to nothing.  Actual priced
-    # times are NOT cached (they depend on ``now`` and on timeline
-    # state, and float addition is not associative).
-
-    def _pricer(self, key: tuple, make):
-        p = self._pricers.get(key)
-        if p is None:
-            if len(self._pricers) > 16384:  # unbounded-growth backstop
-                self._pricers.clear()
-            p = make()
-            self._pricers[key] = p
-        return p
+    # The scalar factories wrap the direct methods and add no arithmetic
+    # of their own; they are what ``batch_pricer`` returns at
+    # ``count == 1``.  Scalar RMA and atomics in the layer call the
+    # direct methods instead: per (node pair, size) a closure memo would
+    # mostly miss, and a hit saves next to nothing.
 
     def put_pricer(self, src: int, dst: int, nbytes: int, conduit: ConduitProfile):
-        """Memoized :meth:`put` closure: ``price(now) -> TransferTiming``."""
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            if nbytes < 0:
-                raise ValueError("nbytes must be non-negative")
-            m = self._machine
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_put_us
-                lat = m.intra_latency_us
-                byte_t = nbytes / m.intra_bandwidth_Bpus
-
-                def price(now: float) -> TransferTiming:
-                    done = now + half + lat + byte_t
-                    return TransferTiming(local_complete=done, remote_complete=done)
-
-                return price
-            overhead = conduit.o_put_us
-            if nbytes > conduit.eager_threshold:
-                overhead += conduit.rendezvous_extra_us
-            eager = nbytes <= conduit.eager_threshold
-            wire = self._wire_time(nbytes, conduit)
-            tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-
-            def price(now: float) -> TransferTiming:
-                ready = now + overhead
-                tx_start, tx_end = tx.reserve(ready, wire)
-                _, rx_end = rx.reserve(tx_start + L, wire)
-                return TransferTiming(
-                    local_complete=ready if eager else tx_end, remote_complete=rx_end
-                )
-
-            return price
-
-        return self._pricer(("put1", src_node, dst_node, nbytes, conduit), make)
+        """:meth:`put` as a closure: ``price(now) -> TransferTiming``."""
+        return lambda now: self.put(src, dst, nbytes, conduit, now)
 
     def get_pricer(self, src: int, dst: int, nbytes: int, conduit: ConduitProfile):
-        """Memoized :meth:`get` closure: ``price(now) -> done``."""
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            if nbytes < 0:
-                raise ValueError("nbytes must be non-negative")
-            m = self._machine
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_get_us
-                lat = m.intra_latency_us
-                byte_t = nbytes / m.intra_bandwidth_Bpus
-                return lambda now: now + half + lat + byte_t
-            o_get = conduit.o_get_us
-            wire = self._wire_time(nbytes, conduit)
-            tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-
-            def price(now: float) -> float:
-                tx_start, _ = tx.reserve(now + o_get + L, wire)
-                _, rx_end = rx.reserve(tx_start + L, wire)
-                return rx_end
-
-            return price
-
-        return self._pricer(("get1", src_node, dst_node, nbytes, conduit), make)
+        """:meth:`get` as a closure: ``price(now) -> done``."""
+        return lambda now: self.get(src, dst, nbytes, conduit, now)
 
     def iput_pricer(
         self,
@@ -736,45 +493,9 @@ class NetworkModel:
         conduit: ConduitProfile,
         stride_bytes: int | None = None,
     ):
-        """Memoized :meth:`iput` closure: ``price(now) -> TransferTiming``."""
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            if not conduit.iput_native:
-                raise ValueError(
-                    f"{conduit.name} has no native iput; caller must loop over put()"
-                )
-            if nelems < 0 or elem_size <= 0:
-                raise ValueError("nelems must be >= 0 and elem_size > 0")
-            m = self._machine
-            nbytes = nelems * elem_size
-            gap = self._gather_gap(conduit, elem_size, stride_bytes)
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_put_us
-                lat = m.intra_latency_us
-                byte_t = nbytes / m.intra_bandwidth_Bpus
-                gap_t = nelems * gap
-
-                def price(now: float) -> TransferTiming:
-                    done = now + half + lat + byte_t + gap_t
-                    return TransferTiming(local_complete=done, remote_complete=done)
-
-                return price
-            o = conduit.o_put_us
-            duration = self._wire_time(nbytes, conduit) + nelems * gap
-            tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-
-            def price(now: float) -> TransferTiming:
-                tx_start, tx_end = tx.reserve(now + o, duration)
-                _, rx_end = rx.reserve(tx_start + L, duration)
-                return TransferTiming(local_complete=tx_end, remote_complete=rx_end)
-
-            return price
-
-        return self._pricer(
-            ("iput1", src_node, dst_node, nelems, elem_size, stride_bytes, conduit),
-            make,
+        """:meth:`iput` as a closure: ``price(now) -> TransferTiming``."""
+        return lambda now: self.iput(
+            src, dst, nelems, elem_size, conduit, now, stride_bytes
         )
 
     def iget_pricer(
@@ -786,82 +507,27 @@ class NetworkModel:
         conduit: ConduitProfile,
         stride_bytes: int | None = None,
     ):
-        """Memoized :meth:`iget` closure: ``price(now) -> done``."""
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            if not conduit.iput_native:
-                raise ValueError(
-                    f"{conduit.name} has no native iget; caller must loop over get()"
-                )
-            if nelems < 0 or elem_size <= 0:
-                raise ValueError("nelems must be >= 0 and elem_size > 0")
-            m = self._machine
-            nbytes = nelems * elem_size
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_get_us
-                lat = m.intra_latency_us
-                byte_t = nbytes / m.intra_bandwidth_Bpus
-                return lambda now: now + half + lat + byte_t
-            o_get = conduit.o_get_us
-            gap = self._gather_gap(conduit, elem_size, stride_bytes)
-            duration = self._wire_time(nbytes, conduit) + nelems * gap
-            tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-
-            def price(now: float) -> float:
-                tx_start, _ = tx.reserve(now + o_get + L, duration)
-                _, rx_end = rx.reserve(tx_start + L, duration)
-                return rx_end
-
-            return price
-
-        return self._pricer(
-            ("iget1", src_node, dst_node, nelems, elem_size, stride_bytes, conduit),
-            make,
+        """:meth:`iget` as a closure: ``price(now) -> done``."""
+        return lambda now: self.iget(
+            src, dst, nelems, elem_size, conduit, now, stride_bytes
         )
 
     def amo_pricer(self, src: int, dst: int, conduit: ConduitProfile):
-        """Memoized :meth:`amo` pricing: ``(price, proc, back)``.
+        """:meth:`amo` as a closure, with its handoff constants:
+        ``(price, proc, back)``.
 
         ``proc``/``back`` are the target-side processing and return-leg
         constants a handoff-causality adjustment needs — the same values
-        :meth:`OneSidedLayer.atomic` resolves inline, which prices
-        through :meth:`amo` directly.
+        :meth:`OneSidedLayer.atomic` resolves inline.
         """
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
-
-        def make():
-            m = self._machine
-            if src_node == dst_node:
-                half = 0.5 * conduit.o_amo_us
-                tl, dur = self._amo[dst_node], m.amo_process_us
-
-                def price(now: float) -> float:
-                    _, end = tl.reserve(now + half, dur)
-                    return end
-
-                return price, m.amo_process_us, m.intra_latency_us
-            o, L = conduit.o_amo_us, m.link_latency_us
-            if conduit.amo_offload:
-                tl, dur = self._amo[dst_node], m.amo_process_us
-
-                def price(now: float) -> float:
-                    _, end = tl.reserve(now + o + L, dur)
-                    return end + L
-
-                return price, m.amo_process_us, L
-            att = m.am_attentiveness_us
-            tl, dur = self._cpu[dst_node], m.cpu_am_process_us
-
-            def price(now: float) -> float:
-                _, end = tl.reserve(now + o + L + att, dur)
-                return end + L
-
-            return price, m.am_attentiveness_us + m.cpu_am_process_us, L
-
-        return self._pricer(("amo1", src_node, dst_node, conduit), make)
+        m = self._machine
+        if self.topology.same_node(src, dst):
+            proc, back = m.amo_process_us, m.intra_latency_us
+        elif conduit.amo_offload:
+            proc, back = m.amo_process_us, m.link_latency_us
+        else:
+            proc, back = m.am_attentiveness_us + m.cpu_am_process_us, m.link_latency_us
+        return (lambda now: self.amo(src, dst, conduit, now)), proc, back
 
     def batch_pricer(
         self,
@@ -876,15 +542,19 @@ class NetworkModel:
         elem_size: int = 0,
         stride_bytes: int | None = None,
     ):
-        """Memoized counterpart of the ``*_batch`` methods.
+        """Closure pricing ``count`` identical back-to-back ``op`` calls.
 
-        ``op`` is ``put``/``get``/``iput``/``iget``; returns a closure
-        ``price(now)`` with the same return type and the same timeline
-        side effects as one call to the matching batch method.
+        ``op`` is ``put``/``get``/``iput``/``iget``; returns
+        ``price(now)`` with the return type of the matching direct
+        method (the final call's timing) and the timeline side effects
+        of ``count`` sequential calls.  Built fresh on every call; the
+        layer memoizes it per plan shape.
         """
+        if op in ("iput", "iget"):
+            self._check_native(conduit, op)
         if count <= 0:
             raise ValueError("count must be positive")
-        if count == 1:  # the batch methods delegate to the scalar forms
+        if count == 1:
             if op == "put":
                 return self.put_pricer(src, dst, nbytes, conduit)
             if op == "get":
@@ -896,86 +566,117 @@ class NetworkModel:
             raise ValueError(f"unknown batch op {op!r}")
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
-        key = (
-            op, src_node, dst_node, nbytes, nelems, elem_size, count, stride_bytes, conduit,
-        )
         if op == "put":
-            make = lambda: self._make_put_batch(src_node, dst_node, nbytes, count, conduit)
-        elif op == "get":
-            make = lambda: self._make_get_batch(src_node, dst_node, nbytes, count, conduit)
-        elif op == "iput":
-            make = lambda: self._make_iput_batch(
+            return self._make_put_batch(src_node, dst_node, nbytes, count, conduit)
+        if op == "get":
+            return self._make_get_batch(src_node, dst_node, nbytes, count, conduit)
+        if op == "iput":
+            return self._make_iput_batch(
                 src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
             )
-        elif op == "iget":
-            make = lambda: self._make_iget_batch(
+        if op == "iget":
+            return self._make_iget_batch(
                 src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
             )
-        else:
-            raise ValueError(f"unknown batch op {op!r}")
-        return self._pricer(key, make)
+        raise ValueError(f"unknown batch op {op!r}")
+
+    # -- batch chain builders --------------------------------------------
 
     @staticmethod
-    def _chain_last(now: float, template: np.ndarray) -> float:
-        """Final value of ``cumsum([now, *template])`` — the scalar
-        chain's exact left-to-right additions."""
-        seq = np.empty(1 + template.size, dtype=np.float64)
-        seq[0] = now
-        seq[1:] = template
-        return float(np.cumsum(seq)[-1])
+    def _chain(start: float, tmpl: np.ndarray) -> np.ndarray:
+        """``cumsum([start, *tmpl])``.
+
+        ``np.cumsum`` accumulates strictly left to right, so this is
+        bit-for-bit the value chain a scalar loop adding the template's
+        deltas in order produces — the backbone of every batch builder.
+        """
+        seq = np.empty(1 + tmpl.size, dtype=np.float64)
+        seq[0] = start
+        seq[1:] = tmpl
+        return np.cumsum(seq)
+
+    def _intra_batch(self, count: int, half_o: float, nbytes: int, *extra: float):
+        """Same-node chain ``done_k = now_k + half_o + lat + bytes/bw
+        [+ extra]``, ``now_{k+1} = done_k``: ``price(now) -> done``."""
+        m = self._machine
+        deltas = (half_o, m.intra_latency_us, nbytes / m.intra_bandwidth_Bpus, *extra)
+        tmpl = np.tile(np.asarray(deltas, dtype=np.float64), count)
+        return lambda now: float(self._chain(now, tmpl)[-1])
+
+    @staticmethod
+    def _both(price):
+        """A same-node ``price(now) -> done`` as a :class:`TransferTiming`
+        closure (local and remote completion coincide)."""
+
+        def timing(now: float) -> TransferTiming:
+            done = price(now)
+            return TransferTiming(local_complete=done, remote_complete=done)
+
+        return timing
+
+    @staticmethod
+    def _queued_put_batch(tx: Timeline, rx: Timeline, L: float, o: float,
+                          dur: float, count: int):
+        """Inter-node puts whose local completion is injection end
+        (rendezvous puts, native iputs): ``ready_{k+1} = tx_end_k + o``
+        is never below the injection engine's ``next_free``, so only the
+        first call can queue there."""
+        tmpl = np.tile(np.asarray((dur, o), dtype=np.float64), count - 1)
+
+        def price(now: float) -> TransferTiming:
+            s1, _ = tx.reserve(now + o, dur)
+            tx_starts = NetworkModel._chain(s1, tmpl)[0::2]
+            tx_end_last = float(tx_starts[-1] + dur)
+            tx.push_batch(tx_end_last, count - 1, dur)
+            rx_starts = rx.reserve_batch(tx_starts + L, dur)
+            return TransferTiming(
+                local_complete=tx_end_last,
+                remote_complete=float(rx_starts[-1] + dur),
+            )
+
+        return price
+
+    @staticmethod
+    def _queued_get_batch(tx: Timeline, rx: Timeline, L: float, o: float,
+                          dur: float, count: int):
+        """Inter-node blocking gets (and native igets).  The first call
+        can queue on both timelines and is reserved for real; after it,
+        ``done_{k-1} -> +o -> +L -> tx_start_k -> +L -> rx_start_k ->
+        +dur -> done_k``, each earliest provably >= the ``next_free``
+        the previous call left, so nothing re-queues."""
+        tmpl = np.tile(np.asarray((o, L, L, dur), dtype=np.float64), count - 1)
+
+        def price(now: float) -> float:
+            s1, _ = tx.reserve(now + o + L, dur)
+            _, done1 = rx.reserve(s1 + L, dur)
+            full = NetworkModel._chain(done1, tmpl)
+            tx.push_batch(float(full[2::4][-1] + dur), count - 1, dur)
+            rx.push_batch(float(full[-1]), count - 1, dur)
+            return float(full[-1])
+
+        return price
 
     def _make_put_batch(self, src_node, dst_node, nbytes, count, conduit):
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        m = self._machine
         if src_node == dst_node:
-            tmpl = np.tile(
-                np.asarray(
-                    (0.5 * conduit.o_put_us, m.intra_latency_us,
-                     nbytes / m.intra_bandwidth_Bpus),
-                    dtype=np.float64,
-                ),
-                count,
-            )
-
-            def price(now: float) -> TransferTiming:
-                done = self._chain_last(now, tmpl)
-                return TransferTiming(local_complete=done, remote_complete=done)
-
-            return price
+            return self._both(self._intra_batch(count, 0.5 * conduit.o_put_us, nbytes))
         wire = self._wire_time(nbytes, conduit)
-        tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-        if nbytes <= conduit.eager_threshold:
-            o = conduit.o_put_us
-
-            def price(now: float) -> TransferTiming:
-                seq = np.empty(count + 1, dtype=np.float64)
-                seq[0] = now
-                seq[1:] = o
-                ready = np.cumsum(seq)[1:]
-                tx_starts = tx.reserve_batch(ready, wire)
-                rx_starts = rx.reserve_batch(tx_starts + L, wire)
-                return TransferTiming(
-                    local_complete=float(ready[-1]),
-                    remote_complete=float(rx_starts[-1] + wire),
-                )
-
-            return price
-        o_r = conduit.o_put_us + conduit.rendezvous_extra_us
-        tmpl = np.tile(np.asarray((wire, o_r), dtype=np.float64), count - 1)
+        tx, rx, L = self._tx[src_node], self._rx[dst_node], self._machine.link_latency_us
+        if nbytes > conduit.eager_threshold:
+            return self._queued_put_batch(
+                tx, rx, L, conduit.o_put_us + conduit.rendezvous_extra_us, wire, count
+            )
+        # Eager: local_k = ready_k = now_k + o, so the ready chain is
+        # independent of the timelines and fully precomputable.
+        tmpl = np.full(count, conduit.o_put_us, dtype=np.float64)
 
         def price(now: float) -> TransferTiming:
-            s1, _ = tx.reserve(now + o_r, wire)
-            seq = np.empty(1 + tmpl.size, dtype=np.float64)
-            seq[0] = s1
-            seq[1:] = tmpl
-            full = np.cumsum(seq)
-            tx_starts = full[0::2]
-            tx_end_last = float(tx_starts[-1] + wire)
-            tx.push_batch(tx_end_last, count - 1, wire)
+            ready = self._chain(now, tmpl)[1:]
+            tx_starts = tx.reserve_batch(ready, wire)
             rx_starts = rx.reserve_batch(tx_starts + L, wire)
             return TransferTiming(
-                local_complete=tx_end_last,
+                local_complete=float(ready[-1]),
                 remote_complete=float(rx_starts[-1] + wire),
             )
 
@@ -984,125 +685,42 @@ class NetworkModel:
     def _make_get_batch(self, src_node, dst_node, nbytes, count, conduit):
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        m = self._machine
         if src_node == dst_node:
-            tmpl = np.tile(
-                np.asarray(
-                    (0.5 * conduit.o_get_us, m.intra_latency_us,
-                     nbytes / m.intra_bandwidth_Bpus),
-                    dtype=np.float64,
-                ),
-                count,
-            )
-            return lambda now: self._chain_last(now, tmpl)
-        o_get = conduit.o_get_us
-        wire = self._wire_time(nbytes, conduit)
-        tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-        tmpl = np.tile(np.asarray((o_get, L, L, wire), dtype=np.float64), count - 1)
-
-        def price(now: float) -> float:
-            s1, _ = tx.reserve(now + o_get + L, wire)
-            _, done1 = rx.reserve(s1 + L, wire)
-            seq = np.empty(1 + tmpl.size, dtype=np.float64)
-            seq[0] = done1
-            seq[1:] = tmpl
-            full = np.cumsum(seq)
-            tx_starts = full[2::4]
-            tx.push_batch(float(tx_starts[-1] + wire), count - 1, wire)
-            rx.push_batch(float(full[-1]), count - 1, wire)
-            return float(full[-1])
-
-        return price
+            return self._intra_batch(count, 0.5 * conduit.o_get_us, nbytes)
+        return self._queued_get_batch(
+            self._tx[dst_node], self._rx[src_node], self._machine.link_latency_us,
+            conduit.o_get_us, self._wire_time(nbytes, conduit), count,
+        )
 
     def _make_iput_batch(
         self, src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
     ):
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iput; caller must loop over put()"
-            )
         if nelems < 0 or elem_size <= 0:
             raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
         nbytes = nelems * elem_size
         gap = self._gather_gap(conduit, elem_size, stride_bytes)
         if src_node == dst_node:
-            tmpl = np.tile(
-                np.asarray(
-                    (0.5 * conduit.o_put_us, m.intra_latency_us,
-                     nbytes / m.intra_bandwidth_Bpus, nelems * gap),
-                    dtype=np.float64,
-                ),
-                count,
+            return self._both(
+                self._intra_batch(count, 0.5 * conduit.o_put_us, nbytes, nelems * gap)
             )
-
-            def price(now: float) -> TransferTiming:
-                done = self._chain_last(now, tmpl)
-                return TransferTiming(local_complete=done, remote_complete=done)
-
-            return price
-        o = conduit.o_put_us
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        tx, rx, L = self._tx[src_node], self._rx[dst_node], m.link_latency_us
-        tmpl = np.tile(np.asarray((duration, o), dtype=np.float64), count - 1)
-
-        def price(now: float) -> TransferTiming:
-            s1, _ = tx.reserve(now + o, duration)
-            seq = np.empty(1 + tmpl.size, dtype=np.float64)
-            seq[0] = s1
-            seq[1:] = tmpl
-            full = np.cumsum(seq)
-            tx_starts = full[0::2]
-            tx_end_last = float(tx_starts[-1] + duration)
-            tx.push_batch(tx_end_last, count - 1, duration)
-            rx_starts = rx.reserve_batch(tx_starts + L, duration)
-            return TransferTiming(
-                local_complete=tx_end_last,
-                remote_complete=float(rx_starts[-1] + duration),
-            )
-
-        return price
+        return self._queued_put_batch(
+            self._tx[src_node], self._rx[dst_node], self._machine.link_latency_us,
+            conduit.o_put_us, self._wire_time(nbytes, conduit) + nelems * gap, count,
+        )
 
     def _make_iget_batch(
         self, src_node, dst_node, nelems, elem_size, count, conduit, stride_bytes
     ):
-        if not conduit.iput_native:
-            raise ValueError(
-                f"{conduit.name} has no native iget; caller must loop over get()"
-            )
         if nelems < 0 or elem_size <= 0:
             raise ValueError("nelems must be >= 0 and elem_size > 0")
-        m = self._machine
         nbytes = nelems * elem_size
         if src_node == dst_node:
-            tmpl = np.tile(
-                np.asarray(
-                    (0.5 * conduit.o_get_us, m.intra_latency_us,
-                     nbytes / m.intra_bandwidth_Bpus),
-                    dtype=np.float64,
-                ),
-                count,
-            )
-            return lambda now: self._chain_last(now, tmpl)
-        o_get = conduit.o_get_us
+            return self._intra_batch(count, 0.5 * conduit.o_get_us, nbytes)
         gap = self._gather_gap(conduit, elem_size, stride_bytes)
-        duration = self._wire_time(nbytes, conduit) + nelems * gap
-        tx, rx, L = self._tx[dst_node], self._rx[src_node], m.link_latency_us
-        tmpl = np.tile(np.asarray((o_get, L, L, duration), dtype=np.float64), count - 1)
-
-        def price(now: float) -> float:
-            s1, _ = tx.reserve(now + o_get + L, duration)
-            _, done1 = rx.reserve(s1 + L, duration)
-            seq = np.empty(1 + tmpl.size, dtype=np.float64)
-            seq[0] = done1
-            seq[1:] = tmpl
-            full = np.cumsum(seq)
-            tx_starts = full[2::4]
-            tx.push_batch(float(tx_starts[-1] + duration), count - 1, duration)
-            rx.push_batch(float(full[-1]), count - 1, duration)
-            return float(full[-1])
-
-        return price
+        return self._queued_get_batch(
+            self._tx[dst_node], self._rx[src_node], self._machine.link_latency_us,
+            conduit.o_get_us, self._wire_time(nbytes, conduit) + nelems * gap, count,
+        )
 
     # -- atomics -------------------------------------------------------
     def amo(self, src: int, dst: int, conduit: ConduitProfile, now: float) -> float:

@@ -1,9 +1,9 @@
-"""Bit-identity of the vectorized data plane against both oracles.
+"""Bit-identity of the batched plan path against the per-call oracle.
 
-Every workload runs three ways — full fast path (default), plain
-batched engine (``REPRO_NO_VECTOR=1``), and the per-call loop
-(``REPRO_NO_BATCH=1``) — and must produce identical virtual clocks,
-stats counters, local buffers, and fetched sections, bit for bit.
+Every workload runs two ways — the batched fast path (default) and the
+per-call loop (``REPRO_NO_BATCH=1``) — and must produce identical
+virtual clocks, stats counters, local buffers, and fetched sections,
+bit for bit.
 A hypothesis property drives random shapes, slices, dtypes, and
 strided-translation policies through the comparison; the deterministic
 tests pin the short-circuit paths (zero-length and single-call plans)
@@ -22,33 +22,25 @@ from repro import caf
 from repro.caf.runtime import current_runtime
 from repro.runtime.context import current
 
-_FLAGS = ("REPRO_NO_BATCH", "REPRO_NO_VECTOR")
-
-
 @contextmanager
-def _mode(no_batch=False, no_vector=False):
-    saved = {f: os.environ.pop(f, None) for f in _FLAGS}
+def _mode(no_batch=False):
+    saved = os.environ.pop("REPRO_NO_BATCH", None)
     try:
         if no_batch:
             os.environ["REPRO_NO_BATCH"] = "1"
-        if no_vector:
-            os.environ["REPRO_NO_VECTOR"] = "1"
         yield
     finally:
-        for f in _FLAGS:
-            os.environ.pop(f, None)
-            if saved[f] is not None:
-                os.environ[f] = saved[f]
+        os.environ.pop("REPRO_NO_BATCH", None)
+        if saved is not None:
+            os.environ["REPRO_NO_BATCH"] = saved
 
 
-def _run_three_ways(fn, **kw):
+def _run_two_ways(fn, **kw):
     with _mode():
         fast = caf.launch(fn, **kw)
-    with _mode(no_vector=True):
-        novector = caf.launch(fn, **kw)
     with _mode(no_batch=True):
         oracle = caf.launch(fn, **kw)
-    return fast, novector, oracle
+    return fast, oracle
 
 
 def _section_kernel(shape, key, dtype_name):
@@ -119,9 +111,8 @@ def test_random_sections_bit_identical(params):
         strided=policy,
         args=(shape, key, dtype_name),
     )
-    fast, novector, oracle = _run_three_ways(_section_kernel, **kw)
+    fast, oracle = _run_two_ways(_section_kernel, **kw)
     _assert_identical(fast, oracle)
-    _assert_identical(fast, novector)
 
 
 @pytest.mark.parametrize("profile", ["cray-shmem", "mvapich2x-shmem", "gasnet"])
@@ -147,9 +138,8 @@ def test_inter_node_sections_bit_identical(profile):
         return current().clock.now, stats, a.local.copy(), got
 
     kw = dict(num_images=17, machine="stampede", profile=profile, strided="2dim")
-    fast, novector, oracle = _run_three_ways(kernel, **kw)
+    fast, oracle = _run_two_ways(kernel, **kw)
     _assert_identical(fast, oracle)
-    _assert_identical(fast, novector)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +168,15 @@ def test_zero_length_section_is_free_and_identical():
         return current().clock.now, stats, a.local.copy(), got
 
     kw = dict(num_images=2, machine="stampede", profile="cray-shmem", strided="2dim")
-    fast, novector, oracle = _run_three_ways(kernel, **kw)
+    fast, oracle = _run_two_ways(kernel, **kw)
     _assert_identical(fast, oracle)
-    _assert_identical(fast, novector)
 
 
 @pytest.mark.parametrize("profile", ["cray-shmem", "mvapich2x-shmem"])
 def test_single_call_plans_bit_identical(profile):
     """Single-line and single-run plans take the scalar short-circuit
-    (no index arrays); timing, stats, and data must still match both
-    oracles exactly."""
+    (no index arrays); timing, stats, and data must still match the
+    per-call oracle exactly."""
 
     def kernel():
         a = caf.coarray((12, 12), np.float64)
@@ -212,17 +201,13 @@ def test_single_call_plans_bit_identical(profile):
         return current().clock.now, stats, a.local.copy(), got
 
     kw = dict(num_images=2, machine="stampede", profile=profile, strided="2dim")
-    fast, novector, oracle = _run_three_ways(kernel, **kw)
+    fast, oracle = _run_two_ways(kernel, **kw)
     for (ca, sa, la, ga), (cb, sb, lb, gb) in zip(fast, oracle):
         assert ca == cb and sa == sb and la.tobytes() == lb.tobytes()
         if ga is not None:
             assert ga[0].tobytes() == gb[0].tobytes()
             assert ga[1].tobytes() == gb[1].tobytes()
             assert ga[2] == gb[2]
-    _assert_identical(
-        [(c, s, l, None) for c, s, l, _ in fast],
-        [(c, s, l, None) for c, s, l, _ in novector],
-    )
 
 
 def test_single_call_stats_counts():
@@ -259,7 +244,7 @@ def test_single_call_stats_counts():
 
 
 def test_sanitizer_passes_on_fast_path():
-    """capture_sync tracing on the vectorized path records deferred
+    """capture_sync tracing on the batched path records deferred
     footprint descriptors; the happens-before sanitizer must see them
     fully materialized and find nothing wrong in a clean program."""
 

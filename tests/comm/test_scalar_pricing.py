@@ -5,14 +5,12 @@ A 256-PE event-engine step program has every PE issue a remote
 few rounds, so many initiators contend on the same tx/rx/amo (or AM CPU)
 timelines.  Two things are checked:
 
-* no scalar operation leaves an entry in the layer's pricer memo or in
-  the network model's (both hold whole-plan batch pricers only, and
-  this program runs no plans);
+* no scalar operation leaves an entry in the layer's pricer memo (it
+  holds whole-plan batch pricers only, and this program runs no plans);
 * per-PE virtual clocks after each round and final table sums equal
   values recorded when scalar operations still went through memoized
-  pricer closures, with the vectorized plane both on and off
-  (``REPRO_NO_VECTOR``) — the direct path must stay bit-identical
-  under multi-writer contention.
+  pricer closures — the direct path must stay bit-identical under
+  multi-writer contention.
 """
 
 import hashlib
@@ -106,21 +104,13 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("no_vector", [False, True], ids=["vector", "novector"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_scalar_ops_add_no_memo_entries_and_keep_virtual_results(
-    case, no_vector, monkeypatch
-):
-    if no_vector:
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
+def test_scalar_ops_add_no_memo_entries_and_keep_virtual_results(case, monkeypatch):
     monkeypatch.delenv("REPRO_NO_BATCH", raising=False)
     machine, attach, pinned = CASES[case]
     job, layer, results = _run(machine, attach)
 
     assert layer._pricers == {}
-    assert job.network._pricers == {}
 
     clocks = [t for r in results for t in r[0]]
     tables = [r[2] for r in results]

@@ -1,12 +1,12 @@
-"""Bit-identity of memoized pricing closures vs the plain methods.
+"""Bit-identity of pricing closures vs the direct methods.
 
-The vectorized data plane prices through closures returned by
-``put_pricer``/``get_pricer``/``iput_pricer``/``iget_pricer``/
-``amo_pricer``/``batch_pricer``.  A pricer must return exactly what the
-corresponding method returns — same floats to the last ULP — and must
-leave every resource timeline in exactly the same state, because the
-virtual timestamps downstream are compared bitwise against the
-``REPRO_NO_VECTOR=1`` oracle.
+The batched plan path prices through ``batch_pricer`` closures (the
+scalar ``put/get/iput/iget/amo_pricer`` factories are its
+``count == 1`` forms).  A pricer must return exactly what the direct
+methods return — same floats to the last ULP — and must leave every
+resource timeline in exactly the same state, because the virtual
+timestamps downstream are compared bitwise against the
+``REPRO_NO_BATCH=1`` per-call oracle.
 """
 
 import pytest
@@ -107,20 +107,28 @@ def test_amo_pricer_bitwise(src, dst, conduit_name):
         )
 
 
-def seq_batch(model, op, src, dst, count, conduit, now, **kw):
-    if op == "put":
-        return model.put_batch(src, dst, kw["nbytes"], count, conduit, now)
-    if op == "get":
-        return model.get_batch(src, dst, kw["nbytes"], count, conduit, now)
-    if op == "iput":
-        return model.iput_batch(
-            src, dst, kw["nelems"], kw["elem_size"], count, conduit, now,
-            stride_bytes=kw.get("stride_bytes"),
-        )
-    return model.iget_batch(
-        src, dst, kw["nelems"], kw["elem_size"], count, conduit, now,
-        stride_bytes=kw.get("stride_bytes"),
-    )
+def per_call_loop(model, op, src, dst, count, conduit, now, **kw):
+    """``count`` direct calls under the layer's clock-merge recurrence
+    (``now_{k+1} = max(now_k, local_k)``); the final call's result."""
+    result = None
+    for _ in range(count):
+        if op == "put":
+            result = model.put(src, dst, kw["nbytes"], conduit, now)
+        elif op == "get":
+            result = model.get(src, dst, kw["nbytes"], conduit, now)
+        elif op == "iput":
+            result = model.iput(
+                src, dst, kw["nelems"], kw["elem_size"], conduit, now,
+                stride_bytes=kw.get("stride_bytes"),
+            )
+        else:
+            result = model.iget(
+                src, dst, kw["nelems"], kw["elem_size"], conduit, now,
+                stride_bytes=kw.get("stride_bytes"),
+            )
+        local = result.local_complete if op in ("put", "iput") else result
+        now = max(now, local)
+    return result
 
 
 @pytest.mark.parametrize("src,dst", PAIRS)
@@ -139,16 +147,7 @@ def test_batch_pricer_bitwise(src, dst, count, op, kw):
     conduit = get_conduit("cray-shmem")
     direct, priced = fresh_model(), fresh_model()
     preload(direct), preload(priced)
-    d = seq_batch(direct, op, src, dst, count, conduit, NOW, **kw)
+    d = per_call_loop(direct, op, src, dst, count, conduit, NOW, **kw)
     p = priced.batch_pricer(op, src, dst, count=count, conduit=conduit, **kw)(NOW)
     assert d == p
     assert timeline_state(direct) == timeline_state(priced)
-
-
-def test_pricer_cache_reuses_closures():
-    model = fresh_model()
-    conduit = get_conduit("cray-shmem")
-    assert model.put_pricer(0, 17, 64, conduit) is model.put_pricer(0, 17, 64, conduit)
-    # same node pair through different PEs -> same closure
-    assert model.put_pricer(1, 18, 64, conduit) is model.put_pricer(0, 17, 64, conduit)
-    assert model.amo_pricer(0, 17, conduit) is model.amo_pricer(0, 17, conduit)
